@@ -14,7 +14,7 @@ from ottomon import (
     EngineConfig,
     LandauZenerStroke,
     asymptotic_power,
-    asymptotic_work_per_cycle,
+    asymptotic_work_heat,
     build_cycle_superoperator,
     fit_geometric_ratio,
     invariant_state,
@@ -40,7 +40,7 @@ def main() -> None:
         rows = work_per_cycle_series(config, scheme, 30)
         totals = np.array([n * mean for n, mean, _ in rows])
         increments = np.diff(np.concatenate(([0.0], totals)))
-        w_inf = asymptotic_work_per_cycle(config, kind)
+        w_inf, _ = asymptotic_work_heat(config, kind)
         lam2 = spectrum(build_cycle_superoperator(config, kind)).lambda2
         fitted = fit_geometric_ratio(increments - w_inf)
         print(f"  {scheme}: w_inf = {w_inf:+.6f}")

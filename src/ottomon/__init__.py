@@ -9,9 +9,8 @@ from .asymptotics import (
     CycleSuperoperator,
     DegenerateFixedPointError,
     SpectrumReport,
-    asymptotic_heat_per_cycle,
     asymptotic_power,
-    asymptotic_work_per_cycle,
+    asymptotic_work_heat,
     build_cycle_superoperator,
     derive_timed_config,
     fit_geometric_ratio,
@@ -112,9 +111,8 @@ __all__ = [
     "WorkStrokeParams",
     "analytic_moments_lindblad",
     "analytic_moments_perfect",
-    "asymptotic_heat_per_cycle",
     "asymptotic_power",
-    "asymptotic_work_per_cycle",
+    "asymptotic_work_heat",
     "build_cycle_superoperator",
     "build_forward_unitary",
     "build_model",

@@ -18,14 +18,12 @@ from .engine import (
     EngineModel,
     LandauZenerStroke,
     LindbladThermo,
+    MAX_SHIFT,
     build_model,
-    contact_suppression,
-    group_heat_transfers,
-    group_work_transfers,
-    tabulate_cycle_branches,
+    tilted_cycle_coefficients,
 )
 from .qubit import gibbs_population, validate_density_matrix
-from .superop import conjugation, dephasing, trace_of_vec, hermitize, vec, unvec
+from .superop import TRACE_VEC, trace_of_vec, hermitize, vec, unvec
 from .thermal import BathSpec, generalized_gibbs
 
 FIXED_POINT_TOL = 1e-10
@@ -64,30 +62,31 @@ def _as_model(engine: EngineConfig | EngineModel) -> EngineModel:
     return build_model(engine)
 
 
+def _resolve_kind(kind: str) -> str:
+    resolved = _KIND_ALIASES.get(kind.upper())
+    if resolved is None:
+        raise ValueError("kind must be RM or RC")
+    return resolved
+
+
+def _kind_coefficients(model: EngineModel, kind: str) -> np.ndarray:
+    """Tilted-map coefficients of a readout kind (RC maps to two pointers)."""
+    return tilted_cycle_coefficients(model, "RM" if kind == "RM" else "RC2")
+
+
 def build_cycle_superoperator(
     engine: EngineConfig | EngineModel, kind: str
 ) -> CycleSuperoperator:
-    """Compose the four strokes, with contact dephasing for the RM kind.
+    """The four strokes composed, with contact dephasing for the RM kind.
 
     The RC kind is the unmonitored cycle channel: the accumulating pointers
     leave the reduced dynamics untouched.  The RM kind damps off-diagonals by
-    the pointer overlap factor at each of the four contacts.
+    the pointer overlap factor at each of the four contacts.  Both are the
+    tilted cycle map at unit counting variables, K(1, 1).
     """
-    kind = _KIND_ALIASES.get(kind.upper())
-    if kind is None:
-        raise ValueError("kind must be RM or RC")
-    model = _as_model(engine)
-    forward = conjugation(model.forward_unitary)
-    reverse = conjugation(model.reverse_unitary)
-    hot = model.hot_channel.superoperator()
-    cold = model.cold_channel.superoperator()
-    if kind == "RC":
-        matrix = cold @ reverse @ hot @ forward
-    else:
-        deph_c = dephasing(contact_suppression(model.h_cold.epsilon, model.sigma))
-        deph_h = dephasing(contact_suppression(model.h_hot.epsilon, model.sigma))
-        matrix = cold @ deph_c @ reverse @ deph_h @ hot @ deph_h @ forward @ deph_c
-    return CycleSuperoperator(matrix=matrix, kind=kind)
+    kind = _resolve_kind(kind)
+    coeffs = _kind_coefficients(_as_model(engine), kind)
+    return CycleSuperoperator(matrix=coeffs.sum(axis=(0, 1)), kind=kind)
 
 
 def spectrum(sop: CycleSuperoperator) -> SpectrumReport:
@@ -101,21 +100,28 @@ def spectrum(sop: CycleSuperoperator) -> SpectrumReport:
 def invariant_state(sop: CycleSuperoperator) -> np.ndarray:
     """Unit-trace fixed point of the cycle channel.
 
-    Raises :class:`DegenerateFixedPointError` when the eigenvalue 1 is not
-    simple (this happens exactly when the cycle contains no dissipation).
+    Solves the bordered system [M - I; Tr] x = [0; 1], which pins the trace
+    instead of normalizing an eigenvector.  Raises
+    :class:`DegenerateFixedPointError` when the eigenvalue 1 is not simple
+    (this happens exactly when the cycle contains no dissipation).
     """
-    eigvals, eigvecs = np.linalg.eig(sop.matrix)
-    near_one = np.abs(eigvals - 1.0) <= DEGENERACY_TOL
-    if near_one.sum() > 1:
+    eigvals = np.linalg.eigvals(sop.matrix)
+    distance = np.abs(eigvals - 1.0)
+    if (distance <= DEGENERACY_TOL).sum() > 1:
         raise DegenerateFixedPointError(
             "cycle map has a degenerate eigenvalue 1; no unique invariant state"
         )
-    idx = int(np.argmin(np.abs(eigvals - 1.0)))
-    if abs(eigvals[idx] - 1.0) > FIXED_POINT_TOL:
+    closest = int(np.argmin(distance))
+    if distance[closest] > FIXED_POINT_TOL:
         raise RuntimeError(
-            f"no eigenvalue at 1 (closest: {eigvals[idx]}); channel is not trace-preserving"
+            f"no eigenvalue at 1 (closest: {eigvals[closest]}); "
+            "channel is not trace-preserving"
         )
-    rho = hermitize(unvec(eigvecs[:, idx]))
+    system = np.vstack([sop.matrix - np.eye(4), TRACE_VEC])
+    rhs = np.zeros(5, dtype=complex)
+    rhs[4] = 1.0
+    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    rho = hermitize(unvec(solution))
     rho /= np.trace(rho).real
     residual = np.abs(unvec(sop.matrix @ vec(rho)) - rho).max()
     if residual > 1e-12:
@@ -147,46 +153,32 @@ def initial_state(
     return generalized_gibbs(bath, model.h_cold).matrix
 
 
-def asymptotic_work_per_cycle(engine: EngineConfig | EngineModel, kind: str) -> float:
-    """Mean work extracted per cycle once the invariant state is reached.
+def asymptotic_work_heat(
+    engine: EngineConfig | EngineModel, kind: str
+) -> tuple[float, float]:
+    """Mean work and hot-bath heat per cycle once the invariant state is reached.
 
-    Sums the per-branch work centers weighted by the branch traces evaluated
-    at the fixed point of the corresponding cycle superoperator; the RM kind
-    includes the per-contact suppression factors in its branch weights.
+    Weights the per-cycle lattice increments, the coefficients G[a, b] of the
+    tilted cycle map, by their traces at the fixed point of K(1, 1): work is
+    the sum of (a*eps_c + b*eps_h) Tr[G rho] and heat of -b*eps_h Tr[G rho].
+    The RM kind carries the per-contact suppression factors in G.
     """
     model = _as_model(engine)
-    kind = _KIND_ALIASES.get(kind.upper())
-    if kind is None:
-        raise ValueError("kind must be RM or RC")
-    scheme = "RM" if kind == "RM" else "RC2"
-    rho = invariant_state(build_cycle_superoperator(model, kind))
-    rho_vec = vec(rho)
-    groups = group_work_transfers(model, tabulate_cycle_branches(model), scheme)
-    total = 0.0 + 0.0j
-    for (da, db), op in groups.items():
-        center = da * model.h_cold.epsilon + db * model.h_hot.epsilon
-        total += center * trace_of_vec(op @ rho_vec)
-    if abs(total.imag) > 1e-12:
-        raise RuntimeError(f"asymptotic work has imaginary residue {total.imag:.3e}")
-    return float(total.real)
-
-
-def asymptotic_heat_per_cycle(engine: EngineConfig | EngineModel, kind: str) -> float:
-    """Mean heat drawn from the hot bath per cycle in the invariant state."""
-    model = _as_model(engine)
-    kind = _KIND_ALIASES.get(kind.upper())
-    if kind is None:
-        raise ValueError("kind must be RM or RC")
-    scheme = "RM" if kind == "RM" else "RC2"
-    rho = invariant_state(build_cycle_superoperator(model, kind))
-    rho_vec = vec(rho)
-    groups = group_heat_transfers(model, tabulate_cycle_branches(model), scheme)
-    total = 0.0 + 0.0j
-    for dq, op in groups.items():
-        total += dq * model.h_hot.epsilon * trace_of_vec(op @ rho_vec)
-    if abs(total.imag) > 1e-12:
-        raise RuntimeError(f"asymptotic heat has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    kind = _resolve_kind(kind)
+    coeffs = _kind_coefficients(model, kind)
+    rho = invariant_state(CycleSuperoperator(coeffs.sum(axis=(0, 1)), kind))
+    traces = trace_of_vec(coeffs @ vec(rho))
+    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
+    eps_c = model.h_cold.epsilon
+    eps_h = model.h_hot.epsilon
+    work = complex((traces * (steps[:, None] * eps_c + steps[None, :] * eps_h)).sum())
+    heat = complex((traces * (-steps[None, :] * eps_h)).sum())
+    for name, total in (("work", work), ("heat", heat)):
+        if abs(total.imag) > 1e-12:
+            raise RuntimeError(
+                f"asymptotic {name} has imaginary residue {total.imag:.3e}"
+            )
+    return work.real, heat.real
 
 
 def theta_from_thermal_duration(t2: float, eps_c: float, eps_h: float) -> float:
@@ -222,8 +214,7 @@ def asymptotic_power(
     engine: EngineConfig, kind: str, t1: float, t2: float
 ) -> float:
     """Asymptotic output power -<W>/(T1 + T2); negative values mark a dud."""
-    timed = derive_timed_config(engine, t1, t2)
-    work = asymptotic_work_per_cycle(timed, kind)
+    work, _ = asymptotic_work_heat(derive_timed_config(engine, t1, t2), kind)
     return -work / (t1 + t2)
 
 

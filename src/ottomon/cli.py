@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
-    asymptotic_heat_per_cycle,
-    asymptotic_work_per_cycle,
+    asymptotic_work_heat,
     build_cycle_superoperator,
     derive_timed_config,
     initial_state,
@@ -29,8 +28,24 @@ from .asymptotics import (
     thermal_duration_from_theta,
 )
 from .config import KEY_SPECS, ConfigError, load_engine_config
-from .engine import EngineConfig, LandauZenerStroke, LindbladThermo, build_model
-from .lattice import joint_via_lattice, marginal_via_lattice, work_per_cycle_series
+from .engine import (
+    EngineConfig,
+    EngineModel,
+    LandauZenerStroke,
+    LindbladThermo,
+    build_model,
+    perfect_targets,
+)
+from .lattice import (
+    LatticeAccumulator,
+    accumulate,
+    assemble_joint,
+    assemble_marginal,
+    build_cycle_kernel,
+    joint_via_lattice,
+    marginal_via_lattice,
+    work_per_cycle_series,
+)
 from .moments import (
     MomentSet,
     analytic_moments_lindblad,
@@ -132,12 +147,31 @@ def _marginal_components(mix) -> list[dict]:
     ]
 
 
+def _rc_work_lattice(model: EngineModel) -> LatticeAccumulator:
+    """The accumulated-pointer work lattice, shared by both RC schemes.
+
+    One and two pointers give the same work lattice: the same unit-weight
+    kernel and the same first-contact fold of the initial state.
+    """
+    return accumulate(build_cycle_kernel(model, "RC2", "work"), model.config.cycles)
+
+
 def cmd_pdf(args) -> int:
     config = _load_config(args)
-    mixes = {
-        scheme: marginal_via_lattice(config, scheme, args.observable, config.cycles)
-        for scheme in ("RM", "RC1", "RC2")
-    }
+    model = build_model(config)
+    cycles = config.cycles
+    if args.observable == "work":
+        rc_work = _rc_work_lattice(model)
+        mixes = {
+            "RM": marginal_via_lattice(model, "RM", "work", cycles),
+            "RC1": assemble_marginal(rc_work, "RC1", cycles, model.sigma, "work"),
+            "RC2": assemble_marginal(rc_work, "RC2", cycles, model.sigma, "work"),
+        }
+    else:
+        mixes = {
+            scheme: marginal_via_lattice(model, scheme, "heat", cycles)
+            for scheme in ("RM", "RC1", "RC2")
+        }
     if args.format == "json":
         payload = {
             "observable": args.observable,
@@ -227,26 +261,32 @@ def _durations(config: EngineConfig) -> tuple[float | None, float | None]:
     return t1, t2
 
 
-def _numeric_moments(config: EngineConfig, scheme: str) -> tuple[MomentSet, bool]:
-    """Mixture moments after the configured cycles; flags joint availability."""
-    if scheme == "RC1":
-        mw, m2w = marginal_via_lattice(config, scheme, "work", config.cycles).moments()
-        mq, m2q = marginal_via_lattice(config, scheme, "heat", config.cycles).moments()
-        return MomentSet(mw, mq, m2w, m2q, 0.0), False
-    mix = joint_via_lattice(config, scheme, config.cycles)
-    return MomentSet(*mix.moments()), True
+def _numeric_moments(model: EngineModel) -> dict[str, tuple[MomentSet, bool]]:
+    """Mixture moments per scheme after the configured cycles.
+
+    Each entry flags whether the scheme has a joint (work, heat) record.
+    """
+    cycles = model.config.cycles
+    rm = joint_via_lattice(model, "RM", cycles)
+    rc_work = _rc_work_lattice(model)
+    mw, m2w = assemble_marginal(rc_work, "RC1", cycles, model.sigma, "work").moments()
+    mq, m2q = marginal_via_lattice(model, "RC1", "heat", cycles).moments()
+    rc2 = assemble_joint(rc_work, "RC2", model.sigma)
+    return {
+        "RM": (MomentSet(*rm.moments()), True),
+        "RC1": (MomentSet(mw, mq, m2w, m2q, 0.0), False),
+        "RC2": (MomentSet(*rc2.moments()), True),
+    }
 
 
-def _analytic_moments(config: EngineConfig) -> dict[str, MomentSet] | None:
+def _analytic_moments(model: EngineModel) -> dict[str, MomentSet] | None:
     """Single-cycle closed forms when the configuration admits them."""
+    config = model.config
     if config.cycles != 1:
         return None
-    model = build_model(config)
     if isinstance(config.thermo, LindbladThermo):
         rho0 = initial_state(config, model)
         return analytic_moments_lindblad(model, np.diag(np.diag(rho0)))
-    from .engine import perfect_targets
-
     target_cold, target_hot = perfect_targets(
         config.thermo, model.h_cold, model.h_hot
     )
@@ -274,11 +314,11 @@ def _analytic_moments(config: EngineConfig) -> dict[str, MomentSet] | None:
 
 def cmd_moments(args) -> int:
     config = _load_config(args)
-    analytic = _analytic_moments(config)
+    model = build_model(config)
+    analytic = _analytic_moments(model)
     t1, t2 = _durations(config)
     rows = []
-    for scheme in ("RM", "RC1", "RC2"):
-        numeric, has_joint = _numeric_moments(config, scheme)
+    for scheme, (numeric, has_joint) in _numeric_moments(model).items():
         eta = efficiency(numeric)
         rel = reliability(numeric)
         power = (
@@ -386,19 +426,18 @@ class SweepSpec:
 
 
 def _sweep_value(
-    config: EngineConfig, kind: str, quantity: str, t1: float, t2: float,
+    model: EngineModel, kind: str, quantity: str, t1: float, t2: float,
     cycles: int | None,
 ) -> float | None:
     if quantity == "lambda2":
-        return spectrum(build_cycle_superoperator(config, kind)).lambda2
+        return spectrum(build_cycle_superoperator(model, kind)).lambda2
     if cycles is None:
-        work = asymptotic_work_per_cycle(config, kind)
-        heat = asymptotic_heat_per_cycle(config, kind)
+        work, heat = asymptotic_work_heat(model, kind)
     else:
         scheme = "RM" if kind == "RM" else "RC2"
-        work = work_per_cycle_series(config, scheme, cycles)[-1][1]
+        work = work_per_cycle_series(model, scheme, cycles)[-1][1]
         heat = (
-            marginal_via_lattice(config, scheme, "heat", cycles).moments()[0] / cycles
+            marginal_via_lattice(model, scheme, "heat", cycles).moments()[0] / cycles
         )
     if quantity == "power":
         return power_output(work, t1, t2)
@@ -420,7 +459,7 @@ def run_sweep(config: EngineConfig, sweep: SweepSpec) -> list[dict]:
     rows = []
     for t1 in sweep.t1_values():
         for t2 in sweep.t2_values():
-            point = derive_timed_config(config, float(t1), float(t2))
+            point = build_model(derive_timed_config(config, float(t1), float(t2)))
             row = {"kind": "grid", "t1": float(t1), "t2": float(t2)}
             for kind in ("RM", "RC"):
                 row[f"value_{kind.lower()}"] = _sweep_value(
@@ -461,12 +500,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     config = _load_config(args)
+    model = build_model(config)
     t1, t2 = _durations(config)
     rows = []
     for kind in ("RM", "RC"):
-        work = asymptotic_work_per_cycle(config, kind)
-        heat = asymptotic_heat_per_cycle(config, kind)
-        lam2 = spectrum(build_cycle_superoperator(config, kind)).lambda2
+        work, heat = asymptotic_work_heat(model, kind)
+        lam2 = spectrum(build_cycle_superoperator(model, kind)).lambda2
         power = (
             power_output(work, t1, t2)
             if t1 is not None and t2 is not None
@@ -607,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

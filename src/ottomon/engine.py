@@ -1,16 +1,16 @@
-"""Engine configuration and the single-cycle branch decomposition.
+"""Engine configuration and the tilted single-cycle map.
 
 A cycle consists of four projective energy contacts interleaved with the two
-work strokes and the two thermalization strokes.  Expanding every contact on
-both sides of the density matrix yields 2^8 branch operators per cycle; each
-branch is stored as a 4x4 superoperator together with its integer work-lattice
-increments and its contact mismatch counts, from which every monitoring
-scheme's weights follow.
+work strokes and the two thermalization strokes.  Tilting every contact by a
+counting variable of the energy it records turns the cycle into a 4x4
+superoperator whose entries are Laurent polynomials in the two work-lattice
+variables (full counting statistics); its coefficients are the per-cycle
+transfer operators grouped by integer lattice increment, from which the
+lattice kernel, the cycle map and the asymptotic rates all follow.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,14 @@ from .qubit import (
     build_reverse_unitary,
     gibbs_population,
     landau_zener_params,
-    projector,
 )
-from .superop import sandwich
+from .superop import conjugation
 from .thermal import BathSpec, LindbladMap, PerfectMap, ThermalState, generalized_gibbs
 
 SCHEMES = ("RM", "RC1", "RC2")
 INIT_KINDS = ("invariant", "gibbs_cold", "generalized_gibbs_cold", "custom")
+# Largest per-cycle work-lattice increment on either axis.
+MAX_SHIFT = 2
 
 
 @dataclass(frozen=True)
@@ -179,68 +180,6 @@ def build_model(config: EngineConfig) -> EngineModel:
     )
 
 
-@dataclass(frozen=True)
-class CycleBranch:
-    """One of the 256 per-cycle contact-outcome branch operators.
-
-    Work centers shift by ``da * eps_c + db * eps_h`` per cycle and heat
-    centers by ``-db * eps_h``; ``mismatch_cold``/``mismatch_hot`` count the
-    contacts where the two sides of the branch picked different energy levels.
-    """
-
-    superoperator: np.ndarray = field(repr=False)
-    da: int
-    db: int
-    da_diff: int
-    db_diff: int
-    mismatch_cold: int
-    mismatch_hot: int
-
-    @property
-    def dq(self) -> int:
-        return -self.db
-
-
-def tabulate_cycle_branches(model: EngineModel) -> list[CycleBranch]:
-    """Build all 256 single-cycle branch superoperators."""
-    proj = (projector(0), projector(1))
-    sign = (-1, 1)
-    u = model.forward_unitary
-    ur = model.reverse_unitary
-    hot_sop = model.hot_channel.superoperator()
-    cold_sop = model.cold_channel.superoperator()
-    branches = []
-    for m1, m2, m3, m4 in itertools.product(range(2), repeat=4):
-        left_first = proj[m2] @ u @ proj[m1]
-        left_second = proj[m4] @ ur @ proj[m3]
-        for n1, n2, n3, n4 in itertools.product(range(2), repeat=4):
-            right_first = proj[n2] @ u @ proj[n1]
-            right_second = proj[n4] @ ur @ proj[n3]
-            sop = cold_sop @ sandwich(left_second, right_second) @ hot_sop @ sandwich(
-                left_first, right_first
-            )
-            h1 = (sign[m1] + sign[n1]) // 2
-            h2 = (sign[m2] + sign[n2]) // 2
-            h3 = (sign[m3] + sign[n3]) // 2
-            h4 = (sign[m4] + sign[n4]) // 2
-            g1 = (sign[m1] - sign[n1]) // 2
-            g2 = (sign[m2] - sign[n2]) // 2
-            g3 = (sign[m3] - sign[n3]) // 2
-            g4 = (sign[m4] - sign[n4]) // 2
-            branches.append(
-                CycleBranch(
-                    superoperator=sop,
-                    da=h4 - h1,
-                    db=h2 - h3,
-                    da_diff=g4 - g1,
-                    db_diff=g2 - g3,
-                    mismatch_cold=int(m1 != n1) + int(m4 != n4),
-                    mismatch_hot=int(m2 != n2) + int(m3 != n3),
-                )
-            )
-    return branches
-
-
 def contact_suppression(epsilon: float, sigma: float) -> float:
     """Pointer overlap factor of one mismatched contact at half-gap epsilon."""
     if sigma == 0.0:
@@ -248,57 +187,56 @@ def contact_suppression(epsilon: float, sigma: float) -> float:
     return float(np.exp(-(epsilon**2) / (2.0 * sigma**2)))
 
 
-def per_cycle_suppression(model: EngineModel, branch: CycleBranch) -> float:
-    """Per-cycle readout suppression of a branch (per-contact scheme)."""
-    if branch.mismatch_cold == 0 and branch.mismatch_hot == 0:
-        return 1.0
-    if model.sigma == 0.0:
-        return 0.0
-    exponent = (
-        branch.mismatch_cold * model.h_cold.epsilon**2
-        + branch.mismatch_hot * model.h_hot.epsilon**2
-    ) / (2.0 * model.sigma**2)
-    return float(np.exp(-exponent))
+def _apply_contact(
+    coeffs: np.ndarray, axis: int, power: int, overlap: float
+) -> np.ndarray:
+    """Left-multiply by the contact factor diag(z^-power, w, w, z^power).
+
+    ``z`` is the counting variable of lattice ``axis``: multiplying the ground
+    row by z^-power moves its coefficients down ``power`` lattice steps and the
+    excited row up; the coherence rows keep their shift and take the overlap.
+    The per-cycle degree never exceeds MAX_SHIFT, so the rolls never wrap.
+    """
+    out = np.empty_like(coeffs)
+    out[..., 0, :] = np.roll(coeffs[..., 0, :], -power, axis=axis)
+    out[..., 1:3, :] = overlap * coeffs[..., 1:3, :]
+    out[..., 3, :] = np.roll(coeffs[..., 3, :], power, axis=axis)
+    return out
 
 
-def group_work_transfers(
-    model: EngineModel, branches: list[CycleBranch], scheme: str
-) -> dict[tuple[int, int], np.ndarray]:
-    """Sum branch superoperators by work-lattice increment (da, db).
+def tilted_cycle_coefficients(model: EngineModel, scheme: str) -> np.ndarray:
+    """Coefficients of the tilted single-cycle map of a monitoring scheme.
 
-    Per-contact suppression weights are included for the per-stroke readout
-    scheme and absent for the accumulated-pointer schemes, whose suppression
-    reduces to the initial-state fold.
+    K(x, y) = Cold C(x) Rev C(1/y) Hot C(y) Fwd C(1/x), with the contact factor
+    C(z) = diag(1/z, w, w, z) on vec(rho) = [rho00, rho10, rho01, rho11], is a
+    Laurent polynomial in the work-lattice counting variables: the coefficient
+    of x^a y^b sums every contact-outcome branch whose work center moves by
+    a*eps_c + b*eps_h (and heat center by -b*eps_h) per cycle.  ``w`` is the
+    pointer overlap of a mismatched contact for per-stroke readout and 1 for
+    the accumulated pointers, whose suppression reduces to the initial-state
+    fold.  Returns G with G[a + MAX_SHIFT, b + MAX_SHIFT] the 4x4 coefficient
+    of x^a y^b; G.sum(axis=(0, 1)) is K(1, 1), the cycle map itself.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    groups: dict[tuple[int, int], np.ndarray] = {}
-    for branch in branches:
-        weight = per_cycle_suppression(model, branch) if scheme == "RM" else 1.0
-        if weight == 0.0:
-            continue
-        key = (branch.da, branch.db)
-        if key not in groups:
-            groups[key] = np.zeros((4, 4), dtype=complex)
-        groups[key] += weight * branch.superoperator
-    return groups
-
-
-def group_heat_transfers(
-    model: EngineModel, branches: list[CycleBranch], scheme: str
-) -> dict[int, np.ndarray]:
-    """Sum branch superoperators by heat-lattice increment dq."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    groups: dict[int, np.ndarray] = {}
-    for branch in branches:
-        weight = per_cycle_suppression(model, branch) if scheme == "RM" else 1.0
-        if weight == 0.0:
-            continue
-        if branch.dq not in groups:
-            groups[branch.dq] = np.zeros((4, 4), dtype=complex)
-        groups[branch.dq] += weight * branch.superoperator
-    return groups
+    if scheme == "RM":
+        w_cold = contact_suppression(model.h_cold.epsilon, model.sigma)
+        w_hot = contact_suppression(model.h_hot.epsilon, model.sigma)
+    else:
+        w_cold = w_hot = 1.0
+    size = 2 * MAX_SHIFT + 1
+    coeffs = np.zeros((size, size, 4, 4), dtype=complex)
+    coeffs[MAX_SHIFT, MAX_SHIFT] = np.eye(4)
+    # (lattice axis, exponent sign, overlap, stroke that follows) per contact.
+    contacts = (
+        (0, -1, w_cold, conjugation(model.forward_unitary)),
+        (1, 1, w_hot, model.hot_channel.superoperator()),
+        (1, -1, w_hot, conjugation(model.reverse_unitary)),
+        (0, 1, w_cold, model.cold_channel.superoperator()),
+    )
+    for axis, power, overlap, stroke in contacts:
+        coeffs = stroke @ _apply_contact(coeffs, axis, power, overlap)
+    return coeffs
 
 
 def work_variance(scheme: str, cycles: int, sigma: float) -> float:

@@ -1,11 +1,12 @@
 """Polynomial-cost recursion over integer energy lattices.
 
 Instead of tracking the exponentially many branch chains individually, the
-per-cycle branch operators are grouped by their integer lattice increments
-and the accumulator stores one 2x2 operator block per reachable lattice
-point.  For the accumulated-pointer schemes this reduction is only valid for
-thermal channels whose population and coherence sectors never mix, so kernel
-construction fails closed on channels that violate that condition.
+accumulator stores one 2x2 operator block per reachable lattice point and
+advances it by the per-cycle transfer operators: the coefficients of the
+tilted cycle map, one per integer lattice increment.  For the
+accumulated-pointer schemes this reduction is only valid for thermal channels
+whose population and coherence sectors never mix, so kernel construction
+fails closed on channels that violate that condition.
 """
 from __future__ import annotations
 
@@ -15,15 +16,14 @@ import numpy as np
 
 from . import asymptotics
 from .engine import (
+    MAX_SHIFT,
     EngineConfig,
     EngineModel,
     SCHEMES,
     build_model,
-    group_heat_transfers,
-    group_work_transfers,
     heat_variance,
     joint_covariance,
-    tabulate_cycle_branches,
+    tilted_cycle_coefficients,
     work_variance,
 )
 from .mixtures import GaussianMixture1D, GaussianMixture2D
@@ -89,15 +89,16 @@ def build_cycle_kernel(
                     f"(violation {violation:.3e}); the accumulated-pointer "
                     "lattice reduction does not apply"
                 )
-    branches = tabulate_cycle_branches(model)
+    coeffs = tilted_cycle_coefficients(model, scheme)
+    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1, dtype=np.int64)
     if observable == "work":
-        groups = group_work_transfers(model, branches, scheme)
-        shifts = np.array(sorted(groups), dtype=np.int64)
-        operators = np.stack([groups[tuple(s)] for s in shifts])
+        grid = np.meshgrid(steps, steps, indexing="ij")
+        shifts = np.stack(grid, axis=-1).reshape(-1, 2)
+        operators = coeffs.reshape(-1, 4, 4)
     else:
-        groups = group_heat_transfers(model, branches, scheme)
-        shifts = np.array(sorted(groups), dtype=np.int64)
-        operators = np.stack([groups[int(s)] for s in shifts])
+        # Heat moves by dq = -b: sum out a, then reverse b into ascending dq.
+        shifts = steps
+        operators = coeffs.sum(axis=0)[::-1]
     # Groups whose entries are all far below any representable contribution
     # (fully suppressed readout mismatches) are dropped to save advance work.
     live = np.abs(operators).max(axis=(1, 2)) > 1e-60
@@ -285,6 +286,20 @@ def prepare_initial_state(
     return rho
 
 
+def accumulate(
+    kernel: CycleKernel, cycles: int, initial: np.ndarray | None = None
+) -> LatticeAccumulator:
+    """Lattice distribution after the given number of cycles of a kernel."""
+    model = kernel.model
+    rho = prepare_initial_state(model, kernel.scheme, kernel.observable, initial)
+    acc = initialize_accumulator(
+        rho, cycles, kernel.observable, model.h_cold.epsilon, model.h_hot.epsilon
+    )
+    for _ in range(cycles):
+        acc = advance_cycle(acc, kernel)
+    return acc
+
+
 def marginal_via_lattice(
     engine: EngineConfig | EngineModel,
     scheme: str,
@@ -294,13 +309,27 @@ def marginal_via_lattice(
 ) -> GaussianMixture1D:
     """End-to-end marginal distribution after the given number of cycles."""
     kernel = build_cycle_kernel(engine, scheme, observable)
-    rho = prepare_initial_state(kernel.model, scheme, observable, initial)
-    acc = initialize_accumulator(
-        rho, cycles, observable, kernel.model.h_cold.epsilon, kernel.model.h_hot.epsilon
-    )
-    for _ in range(cycles):
-        acc = advance_cycle(acc, kernel)
+    acc = accumulate(kernel, cycles, initial)
     return assemble_marginal(acc, scheme, cycles, kernel.model.sigma, observable)
+
+
+def assemble_joint(
+    acc: LatticeAccumulator, scheme: str, sigma: float
+) -> GaussianMixture2D:
+    """Joint (work, heat) mixture of an accumulated work lattice.
+
+    The point (a, b) carries work a*eps_c + b*eps_h and heat -b*eps_h.
+    """
+    if acc.observable != "work":
+        raise ValueError("the joint mixture is read from a work lattice")
+    weights = trace_of_vec(acc.grid).real
+    occupied = np.abs(acc.grid).max(axis=-1) > 0.0
+    ia, ib = np.nonzero(occupied)
+    a = ia - acc.offset
+    b = ib - acc.offset
+    centers = np.stack([a * acc.eps_c + b * acc.eps_h, -b * acc.eps_h], axis=1)
+    cov = joint_covariance(scheme, acc.cycles_done, sigma)
+    return GaussianMixture2D(centers, weights[occupied], cov)
 
 
 def joint_via_lattice(
@@ -311,29 +340,14 @@ def joint_via_lattice(
 ) -> GaussianMixture2D:
     """Joint (work, heat) mixture after the given number of cycles.
 
-    The work lattice resolves both observables at once: the point (a, b)
-    carries work a*eps_c + b*eps_h and heat -b*eps_h, so no separate joint
+    The work lattice resolves both observables at once, so no separate joint
     accumulator is needed.  A single heat pointer cannot produce a joint
     record, hence the one-pointer scheme is rejected.
     """
     if scheme == "RC1":
         raise ValueError("joint distribution requires two pointers")
     kernel = build_cycle_kernel(engine, scheme, "work")
-    model = kernel.model
-    rho = prepare_initial_state(model, scheme, "work", initial)
-    eps_c = model.h_cold.epsilon
-    eps_h = model.h_hot.epsilon
-    acc = initialize_accumulator(rho, cycles, "work", eps_c, eps_h)
-    for _ in range(cycles):
-        acc = advance_cycle(acc, kernel)
-    weights = trace_of_vec(acc.grid).real
-    occupied = np.abs(acc.grid).max(axis=-1) > 0.0
-    ia, ib = np.nonzero(occupied)
-    a = ia - acc.offset
-    b = ib - acc.offset
-    centers = np.stack([a * eps_c + b * eps_h, -b * eps_h], axis=1)
-    cov = joint_covariance(scheme, cycles, model.sigma)
-    return GaussianMixture2D(centers, weights[occupied], cov)
+    return assemble_joint(accumulate(kernel, cycles, initial), scheme, kernel.model.sigma)
 
 
 def work_per_cycle_series(

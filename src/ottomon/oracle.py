@@ -9,7 +9,8 @@ the lattice module's initial-state fold must reproduce.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +21,11 @@ from .engine import (
     build_model,
     joint_covariance,
     heat_variance,
-    tabulate_cycle_branches,
     work_variance,
 )
 from .mixtures import GaussianMixture1D, GaussianMixture2D, collapse_duplicates
-from .superop import vec
+from .qubit import projector
+from .superop import sandwich, vec
 
 ORACLE_CYCLE_LIMIT = 3
 PRUNE_TOL = 1e-15
@@ -51,6 +52,72 @@ def contact_schedule(cycles: int) -> list[ContactPoint]:
         ContactPoint(+1, 0, "cold"),
     ]
     return per_cycle * cycles
+
+
+@dataclass(frozen=True)
+class CycleBranch:
+    """One of the 256 per-cycle contact-outcome branch operators.
+
+    Work centers shift by ``da * eps_c + db * eps_h`` per cycle and heat
+    centers by ``-db * eps_h``; ``mismatch_cold``/``mismatch_hot`` count the
+    contacts where the two sides of the branch picked different energy levels.
+    """
+
+    superoperator: np.ndarray = field(repr=False)
+    da: int
+    db: int
+    da_diff: int
+    db_diff: int
+    mismatch_cold: int
+    mismatch_hot: int
+
+    @property
+    def dq(self) -> int:
+        return -self.db
+
+
+def tabulate_cycle_branches(model: EngineModel) -> list[CycleBranch]:
+    """Build all 256 single-cycle branch superoperators.
+
+    Expands every contact on both sides of the density matrix, independently
+    of the tilted cycle map the other routes are built from.
+    """
+    proj = (projector(0), projector(1))
+    sign = (-1, 1)
+    u = model.forward_unitary
+    ur = model.reverse_unitary
+    hot_sop = model.hot_channel.superoperator()
+    cold_sop = model.cold_channel.superoperator()
+    branches = []
+    for m1, m2, m3, m4 in itertools.product(range(2), repeat=4):
+        left_first = proj[m2] @ u @ proj[m1]
+        left_second = proj[m4] @ ur @ proj[m3]
+        for n1, n2, n3, n4 in itertools.product(range(2), repeat=4):
+            right_first = proj[n2] @ u @ proj[n1]
+            right_second = proj[n4] @ ur @ proj[n3]
+            sop = cold_sop @ sandwich(left_second, right_second) @ hot_sop @ sandwich(
+                left_first, right_first
+            )
+            h1 = (sign[m1] + sign[n1]) // 2
+            h2 = (sign[m2] + sign[n2]) // 2
+            h3 = (sign[m3] + sign[n3]) // 2
+            h4 = (sign[m4] + sign[n4]) // 2
+            g1 = (sign[m1] - sign[n1]) // 2
+            g2 = (sign[m2] - sign[n2]) // 2
+            g3 = (sign[m3] - sign[n3]) // 2
+            g4 = (sign[m4] - sign[n4]) // 2
+            branches.append(
+                CycleBranch(
+                    superoperator=sop,
+                    da=h4 - h1,
+                    db=h2 - h3,
+                    da_diff=g4 - g1,
+                    db_diff=g2 - g3,
+                    mismatch_cold=int(m1 != n1) + int(m4 != n4),
+                    mismatch_hot=int(m2 != n2) + int(m3 != n3),
+                )
+            )
+    return branches
 
 
 @dataclass(frozen=True)

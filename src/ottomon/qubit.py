@@ -66,17 +66,6 @@ class WorkStrokeParams:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class PointerSpec:
-    """Standard deviation of the Gaussian pointer wavefunction."""
-
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-
 def projector(level: int) -> np.ndarray:
     """Rank-1 projector onto energy level 0 (ground) or 1 (excited)."""
     if level not in (0, 1):

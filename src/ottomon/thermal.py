@@ -126,20 +126,6 @@ class LindbladMap:
         return np.column_stack(columns)
 
 
-def apply_perfect(target: ThermalState, rho: np.ndarray) -> np.ndarray:
-    return PerfectMap(target).apply(rho)
-
-
-def apply_perfect_unnormalized(target: ThermalState, op: np.ndarray) -> np.ndarray:
-    return PerfectMap(target).apply_unnormalized(op)
-
-
-def apply_lindblad(
-    bath: BathSpec, h: StrokeHamiltonian, theta: float, op: np.ndarray
-) -> np.ndarray:
-    return LindbladMap(bath, h, theta).apply_unnormalized(op)
-
-
 def decoupling_violation(channel) -> float:
     """Largest population/coherence mixing element of a channel.
 
@@ -148,10 +134,6 @@ def decoupling_violation(channel) -> float:
     coherence into its transpose partner.
     """
     return sector_coupling(channel.superoperator())
-
-
-def is_decoupling(channel, tol: float = DECOUPLING_TOL) -> bool:
-    return decoupling_violation(channel) <= tol
 
 
 def _spectral_density(omega: np.ndarray, gamma: float, omega_d: float) -> np.ndarray:

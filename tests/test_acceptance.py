@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_density_matrices
 from ottomon.asymptotics import (
-    asymptotic_work_per_cycle,
+    asymptotic_work_heat,
     build_cycle_superoperator,
     derive_timed_config,
     fit_geometric_ratio,
@@ -314,7 +314,7 @@ def test_criterion_08_geometric_convergence_to_fixed_point(
         # cycles, so the geometric approach to the per-cycle limit shows in
         # the increments of the accumulated record.
         increments = np.diff(np.concatenate(([0.0], totals)))
-        w_inf = asymptotic_work_per_cycle(default_config, kind)
+        w_inf = asymptotic_work_heat(default_config, kind)[0]
         lam2 = spectrum(build_cycle_superoperator(default_config, kind)).lambda2
         ratio = fit_geometric_ratio(increments - w_inf)
         assert ratio == pytest.approx(lam2, rel=0.05), scheme

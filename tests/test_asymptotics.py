@@ -13,9 +13,8 @@ from ottomon import (
     LindbladThermo,
     PerfectThermo,
     ThermalState,
-    asymptotic_heat_per_cycle,
     asymptotic_power,
-    asymptotic_work_per_cycle,
+    asymptotic_work_heat,
     build_cycle_superoperator,
     derive_timed_config,
     fit_geometric_ratio,
@@ -26,10 +25,10 @@ from ottomon import (
     theta_from_thermal_duration,
     work_per_cycle_series,
 )
-from ottomon.engine import build_model
+from ottomon.engine import build_model, contact_suppression
 from ottomon.moments import analytic_moments_perfect
 from ottomon.qubit import gibbs_population, landau_zener_params
-from ottomon.superop import TRACE_VEC, unvec, vec
+from ottomon.superop import TRACE_VEC, conjugation, dephasing, unvec, vec
 
 # Values frozen from this implementation at the default parameter point and
 # cross-checked against the brute-force enumeration for small cycle numbers.
@@ -73,6 +72,21 @@ def test_perfect_thermalization_collapses_in_one_cycle() -> None:
     assert_allclose(
         invariant_state(sop), model.cold_channel.target.matrix, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("gamma", [0.025, 0.5])
+@pytest.mark.parametrize("kind", ["RM", "RC"])
+def test_invariant_state_is_exact_for_coherent_perfect_targets(gamma, kind) -> None:
+    # Perfect thermalization ends every cycle in the cold target, whose
+    # finite-coupling coherence an eigenvector normalization got wrong.
+    config = EngineConfig(
+        thermo=PerfectThermo(
+            beta_c=0.25, beta_h=0.025, gamma=gamma, targets="generalized_gibbs"
+        )
+    )
+    model = build_model(config)
+    rho = invariant_state(build_cycle_superoperator(model, kind))
+    assert_allclose(rho, model.cold_channel.target.matrix, atol=1e-12)
 
 
 def test_zero_thermal_contact_is_degenerate_only_without_readout() -> None:
@@ -129,18 +143,57 @@ def test_kind_labels_are_case_insensitive_with_pointer_aliases(default_config) -
 
 
 def test_asymptotic_work_reference_values(default_config) -> None:
-    assert asymptotic_work_per_cycle(default_config, "RM") == pytest.approx(
+    assert asymptotic_work_heat(default_config, "RM")[0] == pytest.approx(
         WORK_INF_RM, abs=1e-12
     )
-    assert asymptotic_work_per_cycle(default_config, "RC") == pytest.approx(
+    assert asymptotic_work_heat(default_config, "RC")[0] == pytest.approx(
         WORK_INF_RC, abs=1e-12
     )
-    assert asymptotic_heat_per_cycle(default_config, "RM") == pytest.approx(
+    assert asymptotic_work_heat(default_config, "RM")[1] == pytest.approx(
         HEAT_INF_RM, abs=1e-12
     )
-    assert asymptotic_heat_per_cycle(default_config, "RC") == pytest.approx(
+    assert asymptotic_work_heat(default_config, "RC")[1] == pytest.approx(
         HEAT_INF_RC, abs=1e-12
     )
+
+
+def _contact_energy_bookkeeping(config: EngineConfig, kind: str) -> tuple[float, float]:
+    """Mean work and hot heat from the level signs at the four contacts."""
+    model = build_model(config)
+    sop = build_cycle_superoperator(model, kind)
+    rho = vec(invariant_state(sop))
+    w_cold = contact_suppression(config.eps_c, config.sigma) if kind == "RM" else 1.0
+    w_hot = contact_suppression(config.eps_h, config.sigma) if kind == "RM" else 1.0
+    strokes = (
+        (w_cold, conjugation(model.forward_unitary)),
+        (w_hot, model.hot_channel.superoperator()),
+        (w_hot, conjugation(model.reverse_unitary)),
+        (w_cold, model.cold_channel.superoperator()),
+    )
+    level = []
+    for overlap, stroke in strokes:
+        level.append((rho[3] - rho[0]).real)
+        rho = stroke @ dephasing(overlap) @ rho
+    work = config.eps_c * (level[3] - level[0]) + config.eps_h * (level[1] - level[2])
+    heat = config.eps_h * (level[2] - level[1])
+    return work, heat
+
+
+@pytest.mark.parametrize("kind", ["RM", "RC"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        EngineConfig(),
+        EngineConfig(stroke=LandauZenerStroke(t1=5.0), sigma=2.0),
+        EngineConfig(thermo=PerfectThermo(beta_c=0.25, beta_h=0.025)),
+    ],
+    ids=["direct", "landau_zener", "perfect_gibbs"],
+)
+def test_asymptotic_work_heat_match_contact_energy_bookkeeping(config, kind) -> None:
+    work, heat = asymptotic_work_heat(config, kind)
+    expected_work, expected_heat = _contact_energy_bookkeeping(config, kind)
+    assert work == pytest.approx(expected_work, abs=1e-12)
+    assert heat == pytest.approx(expected_heat, abs=1e-12)
 
 
 def test_asymptotic_work_perfect_zero_width_equals_chain_mean() -> None:
@@ -151,7 +204,7 @@ def test_asymptotic_work_perfect_zero_width_equals_chain_mean() -> None:
     )
     chain = analytic_moments_perfect(config)
     for kind in ("RM", "RC"):
-        assert asymptotic_work_per_cycle(config, kind) == pytest.approx(
+        assert asymptotic_work_heat(config, kind)[0] == pytest.approx(
             chain.mean_work, abs=1e-12
         )
 
@@ -233,7 +286,7 @@ def test_asymptotic_power_is_work_rate(default_config) -> None:
     t1, t2 = 5.0, 10.0
     timed = derive_timed_config(default_config, t1, t2)
     for kind in ("RM", "RC"):
-        expected = -asymptotic_work_per_cycle(timed, kind) / (t1 + t2)
+        expected = -asymptotic_work_heat(timed, kind)[0] / (t1 + t2)
         assert asymptotic_power(default_config, kind, t1, t2) == pytest.approx(
             expected, abs=1e-14
         )

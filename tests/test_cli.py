@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ottomon.asymptotics import (
-    asymptotic_work_per_cycle,
+    asymptotic_work_heat,
     build_cycle_superoperator,
     derive_timed_config,
     spectrum,
@@ -199,7 +199,7 @@ def test_sweep_single_point_matches_library_routes(capsys):
     base = EngineConfig(stroke=LandauZenerStroke(t1=5.0))
     point = derive_timed_config(base, 5.0, 10.0)
     for kind, name in (("RM", "value_rm"), ("RC", "value_rc")):
-        expected = power_output(asymptotic_work_per_cycle(point, kind), 5.0, 10.0)
+        expected = power_output(asymptotic_work_heat(point, kind)[0], 5.0, 10.0)
         for row in rows:
             assert float(row[header.index(name)]) == pytest.approx(expected, rel=1e-9)
 
@@ -253,7 +253,7 @@ def test_asymptotic_rows_match_library_values(capsys):
         work = float(row[header.index("work_per_cycle")])
         lam2 = float(row[header.index("lambda2")])
         assert work == pytest.approx(
-            asymptotic_work_per_cycle(config, kind), rel=1e-10
+            asymptotic_work_heat(config, kind)[0], rel=1e-10
         )
         assert lam2 == pytest.approx(
             spectrum(build_cycle_superoperator(config, kind)).lambda2, rel=1e-10
@@ -290,6 +290,27 @@ def test_lz_uses_resolved_duration(capsys):
     code, _, err = run_cli(capsys, "lz", "--t1", "0")
     assert code == 2
     assert "positive stroke duration" in err
+
+
+def test_asymptotic_with_generalized_gibbs_targets(capsys):
+    code, out, err = run_cli(
+        capsys, "asymptotic", "--thermo", "perfect", "--targets", "generalized_gibbs"
+    )
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert [row[header.index("kind")] for row in rows] == ["RM", "RC"]
+    assert np.isfinite(column(header, rows, "work_per_cycle")).all()
+
+
+def test_runtime_errors_exit_with_code_2(capsys, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise RuntimeError("fixed-point residual 1e-08 exceeds 1e-12")
+
+    monkeypatch.setattr("ottomon.cli.asymptotic_work_heat", fail)
+    code, out, err = run_cli(capsys, "asymptotic")
+    assert code == 2
+    assert out == ""
+    assert err == "error: fixed-point residual 1e-08 exceeds 1e-12\n"
 
 
 def test_validate_exit_codes(capsys):

@@ -1,4 +1,4 @@
-"""Single-cycle branch decomposition and model construction."""
+"""Model construction and the tilted single-cycle map."""
 from __future__ import annotations
 
 import numpy as np
@@ -16,16 +16,14 @@ from ottomon import (
 from ottomon.engine import (
     build_model,
     contact_suppression,
-    group_heat_transfers,
-    group_work_transfers,
     heat_variance,
     joint_covariance,
-    per_cycle_suppression,
     perfect_targets,
     resolve_stroke_params,
-    tabulate_cycle_branches,
     work_variance,
 )
+from ottomon.lattice import build_cycle_kernel
+from ottomon.oracle import tabulate_cycle_branches
 from ottomon.qubit import StrokeHamiltonian, landau_zener_params
 from ottomon.superop import conjugation
 from ottomon.thermal import ThermalState
@@ -39,6 +37,31 @@ def model(default_config):
 @pytest.fixture(scope="module")
 def branches(model):
     return tabulate_cycle_branches(model)
+
+
+def rm_weight(model, branch) -> float:
+    """Per-cycle pointer overlap of a branch under per-stroke readout."""
+    if branch.mismatch_cold == 0 and branch.mismatch_hot == 0:
+        return 1.0
+    return float(
+        np.exp(
+            -(
+                branch.mismatch_cold * model.h_cold.epsilon**2
+                + branch.mismatch_hot * model.h_hot.epsilon**2
+            )
+            / (2.0 * model.sigma**2)
+        )
+    )
+
+
+def grouped_branches(model, branches, scheme, observable) -> dict:
+    """Weighted branch superoperators summed by their lattice increment."""
+    groups: dict = {}
+    for branch in branches:
+        weight = rm_weight(model, branch) if scheme == "RM" else 1.0
+        key = (branch.da, branch.db) if observable == "work" else branch.dq
+        groups[key] = groups.get(key, 0.0) + weight * branch.superoperator
+    return groups
 
 
 def test_tabulation_yields_256_branches(branches) -> None:
@@ -64,9 +87,7 @@ def test_unweighted_branch_sum_is_the_unmonitored_cycle_map(model, branches) -> 
 def test_weighted_branch_sums_reproduce_cycle_superoperators(
     default_config, model, branches
 ) -> None:
-    rm_total = sum(
-        per_cycle_suppression(model, b) * b.superoperator for b in branches
-    )
+    rm_total = sum(rm_weight(model, b) * b.superoperator for b in branches)
     assert_allclose(
         rm_total, build_cycle_superoperator(default_config, "RM").matrix, atol=1e-13
     )
@@ -78,48 +99,66 @@ def test_weighted_branch_sums_reproduce_cycle_superoperators(
 
 @pytest.mark.parametrize("scheme", ["RM", "RC2"])
 def test_group_sums_recover_the_weighted_total(model, branches, scheme) -> None:
-    work_groups = group_work_transfers(model, branches, scheme)
-    heat_groups = group_heat_transfers(model, branches, scheme)
+    work = build_cycle_kernel(model, scheme, "work")
+    heat = build_cycle_kernel(model, scheme, "heat")
     if scheme == "RM":
-        expected = sum(
-            per_cycle_suppression(model, b) * b.superoperator for b in branches
-        )
+        expected = sum(rm_weight(model, b) * b.superoperator for b in branches)
     else:
         expected = sum(b.superoperator for b in branches)
-    assert_allclose(sum(work_groups.values()), expected, atol=1e-13)
-    assert_allclose(sum(heat_groups.values()), expected, atol=1e-13)
-    for da, db in work_groups:
+    assert_allclose(work.operators.sum(axis=0), expected, atol=1e-13)
+    assert_allclose(heat.operators.sum(axis=0), expected, atol=1e-13)
+    for da, db in work.shifts:
         assert -2 <= da <= 2 and -2 <= db <= 2
-    for dq in heat_groups:
+    for dq in heat.shifts:
         assert -2 <= dq <= 2
 
 
-def test_group_keys_aggregate_consistently(model, branches) -> None:
-    work_groups = group_work_transfers(model, branches, "RC2")
-    heat_groups = group_heat_transfers(model, branches, "RC2")
-    for dq, matrix in heat_groups.items():
+def test_group_keys_aggregate_consistently(model) -> None:
+    work = build_cycle_kernel(model, "RC2", "work")
+    heat = build_cycle_kernel(model, "RC2", "heat")
+    for dq, matrix in zip(heat.shifts, heat.operators):
         from_work = sum(
-            m for (da, db), m in work_groups.items() if -db == dq
+            m for (da, db), m in zip(work.shifts, work.operators) if -db == dq
         )
         assert_allclose(from_work, matrix, atol=1e-13)
+
+
+# The Landau-Zener engine has wide pointers so that hot-contact mismatches
+# carry weights well above the tolerance.
+CROSS_ROUTE_ENGINES = {
+    "direct": EngineConfig(),
+    "landau_zener": EngineConfig(stroke=LandauZenerStroke(t1=5.0), sigma=2.0),
+    "perfect_gibbs": EngineConfig(thermo=PerfectThermo(beta_c=0.25, beta_h=0.025)),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(CROSS_ROUTE_ENGINES))
+def test_kernel_matches_grouped_branch_enumeration(engine) -> None:
+    # The tilted-map kernel against the 256 enumerated branches, each weighted
+    # by the overlap of its mismatched contacts and grouped by lattice shift.
+    model = build_model(CROSS_ROUTE_ENGINES[engine])
+    branches = tabulate_cycle_branches(model)
+    for scheme in ("RM", "RC1", "RC2"):
+        for observable in ("work", "heat"):
+            kernel = build_cycle_kernel(model, scheme, observable)
+            groups = grouped_branches(model, branches, scheme, observable)
+            got = {
+                (tuple(int(v) for v in s) if observable == "work" else int(s)): op
+                for s, op in zip(kernel.shifts, kernel.operators)
+            }
+            assert set(got) <= set(groups), (scheme, observable)
+            for key, expected in groups.items():
+                actual = got.get(key, np.zeros((4, 4)))
+                assert_allclose(
+                    actual, expected, rtol=0, atol=1e-13,
+                    err_msg=f"{scheme} {observable} {key}",
+                )
 
 
 def test_contact_suppression_values() -> None:
     assert contact_suppression(1.0, 0.2) == pytest.approx(np.exp(-12.5), rel=1e-14)
     assert contact_suppression(0.0, 0.2) == 1.0
     assert contact_suppression(1.0, 0.0) == 0.0
-
-
-def test_per_cycle_suppression_counts_mismatched_contacts(model, branches) -> None:
-    eps_c, eps_h, sigma = 1.0, 3.7, 0.2
-    for branch in branches[:64]:
-        expected = np.exp(
-            -(branch.mismatch_cold * eps_c**2 + branch.mismatch_hot * eps_h**2)
-            / (2.0 * sigma**2)
-        )
-        assert per_cycle_suppression(model, branch) == pytest.approx(
-            expected, rel=1e-14
-        )
 
 
 def test_variance_helpers_scale_with_scheme_and_cycles() -> None:

@@ -159,6 +159,15 @@ def test_joint_via_lattice_rejects_single_pointer(default_config) -> None:
         joint_via_lattice(default_config, "RC1", 1)
 
 
+def test_one_and_two_pointer_work_lattices_are_identical(default_config) -> None:
+    # The CLI reads both accumulated-pointer work marginals off one lattice.
+    one = marginal_via_lattice(default_config, "RC1", "work", 12)
+    two = marginal_via_lattice(default_config, "RC2", "work", 12)
+    np.testing.assert_array_equal(one.centers, two.centers)
+    np.testing.assert_array_equal(one.weights, two.weights)
+    assert one.variance == two.variance
+
+
 def test_work_series_first_cycle_matches_enumeration(default_config) -> None:
     rows = work_per_cycle_series(default_config, "RM", 3)
     assert [row[0] for row in rows] == [1, 2, 3]
