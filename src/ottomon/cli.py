@@ -29,28 +29,27 @@ from .asymptotics import (
 )
 from .config import KEY_SPECS, ConfigError, load_engine_config
 from .engine import (
+    SCHEMES,
     EngineConfig,
     EngineModel,
     LandauZenerStroke,
     LindbladThermo,
     build_model,
-    perfect_targets,
 )
 from .lattice import (
     LatticeAccumulator,
     accumulate,
-    assemble_joint,
     assemble_marginal,
     build_cycle_kernel,
-    joint_via_lattice,
     marginal_via_lattice,
-    work_per_cycle_series,
+    moment_series,
 )
+from .mixtures import prune_components
 from .moments import (
     MomentSet,
     analytic_moments_lindblad,
-    analytic_moments_perfect,
     efficiency,
+    perfect_readout_moments,
     power_output,
     reliability,
 )
@@ -189,12 +188,16 @@ def cmd_pdf(args) -> int:
     if args.points < 2:
         raise ConfigError("density grid needs at least 2 points")
     pad = GRID_PAD_SIGMAS * max(np.sqrt(m.variance) for m in mixes.values())
+    # The default window spans the components the densities evaluate, not
+    # every occupied center: negligible far-out weights would stretch it and
+    # undersample the narrow accumulated-pointer components.
+    kept = [prune_components(m.centers, m.weights)[0] for m in mixes.values()]
     lo = args.grid_min
     hi = args.grid_max
     if lo is None:
-        lo = min(m.centers.min() for m in mixes.values()) - pad
+        lo = min(c.min() for c in kept) - pad
     if hi is None:
-        hi = max(m.centers.max() for m in mixes.values()) + pad
+        hi = max(c.max() for c in kept) + pad
     if not hi > lo:
         raise ConfigError("grid upper bound must exceed the lower bound")
     grid = np.linspace(lo, hi, args.points)
@@ -267,15 +270,10 @@ def _numeric_moments(model: EngineModel) -> dict[str, tuple[MomentSet, bool]]:
     Each entry flags whether the scheme has a joint (work, heat) record.
     """
     cycles = model.config.cycles
-    rm = joint_via_lattice(model, "RM", cycles)
-    rc_work = _rc_work_lattice(model)
-    mw, m2w = assemble_marginal(rc_work, "RC1", cycles, model.sigma, "work").moments()
-    mq, m2q = marginal_via_lattice(model, "RC1", "heat", cycles).moments()
-    rc2 = assemble_joint(rc_work, "RC2", model.sigma)
+    rho0 = initial_state(model.config, model)
     return {
-        "RM": (MomentSet(*rm.moments()), True),
-        "RC1": (MomentSet(mw, mq, m2w, m2q, 0.0), False),
-        "RC2": (MomentSet(*rc2.moments()), True),
+        scheme: (moment_series(model, scheme, cycles, rho0)[-1], scheme != "RC1")
+        for scheme in SCHEMES
     }
 
 
@@ -287,29 +285,7 @@ def _analytic_moments(model: EngineModel) -> dict[str, MomentSet] | None:
     if isinstance(config.thermo, LindbladThermo):
         rho0 = initial_state(config, model)
         return analytic_moments_lindblad(model, np.diag(np.diag(rho0)))
-    target_cold, target_hot = perfect_targets(
-        config.thermo, model.h_cold, model.h_hot
-    )
-    if abs(target_cold.q) > 0 or abs(target_hot.q) > 0:
-        return None
-    base = analytic_moments_perfect(model)
-    sig2 = config.sigma**2
-    return {
-        "RM": MomentSet(
-            base.mean_work,
-            base.mean_heat,
-            base.second_work + 4.0 * sig2,
-            base.second_heat + 2.0 * sig2,
-            base.cross - 2.0 * sig2,
-        ),
-        "RC": MomentSet(
-            base.mean_work,
-            base.mean_heat,
-            base.second_work + sig2,
-            base.second_heat + sig2,
-            base.cross,
-        ),
-    }
+    return perfect_readout_moments(model)
 
 
 def cmd_moments(args) -> int:
@@ -434,11 +410,8 @@ def _sweep_value(
     if cycles is None:
         work, heat = asymptotic_work_heat(model, kind)
     else:
-        scheme = "RM" if kind == "RM" else "RC2"
-        work = work_per_cycle_series(model, scheme, cycles)[-1][1]
-        heat = (
-            marginal_via_lattice(model, scheme, "heat", cycles).moments()[0] / cycles
-        )
+        final = moment_series(model, "RM" if kind == "RM" else "RC2", cycles)[-1]
+        work, heat = final.mean_work / cycles, final.mean_heat / cycles
     if quantity == "power":
         return power_output(work, t1, t2)
     return None if heat == 0.0 else -work / heat

@@ -27,10 +27,17 @@ from .engine import (
     work_variance,
 )
 from .mixtures import GaussianMixture1D, GaussianMixture2D
+from .moments import MomentSet
 from .superop import trace_of_vec, vec
 from .thermal import DECOUPLING_TOL, decoupling_violation
 
 OBSERVABLES = ("work", "heat")
+# Largest peak memory a lattice run may need before it is refused.
+LATTICE_MEMORY_BUDGET = 2**30
+# Full-size complex grids alive at the peak of a lattice run: the old and
+# new grids, the copied source box, one scattered block and the assembly
+# temporaries (about 4.9 for work and 3.1 for heat, measured).
+_GRIDS_AT_PEAK = 5
 
 
 def fold_initial_state_rc(rho: np.ndarray, sigma: float, eps_c: float) -> np.ndarray:
@@ -61,6 +68,26 @@ def fold_required(scheme: str, observable: str) -> bool:
     return not (scheme == "RC1" and observable == "heat")
 
 
+def require_sector_separation(model: EngineModel, scheme: str) -> None:
+    """Refuse accumulated-pointer schemes on channels that mix sectors.
+
+    The accumulated pointers reduce to the initial-state fold only when no
+    thermal channel converts populations into coherences or back; both the
+    lattice and the moment recursion rest on that reduction.  Per-stroke
+    readout does not, so RM always passes.
+    """
+    if scheme == "RM":
+        return
+    for channel in (model.cold_channel, model.hot_channel):
+        violation = decoupling_violation(channel)
+        if violation > DECOUPLING_TOL:
+            raise ValueError(
+                "thermal channel mixes population and coherence sectors "
+                f"(violation {violation:.3e}); the accumulated-pointer "
+                "lattice reduction does not apply"
+            )
+
+
 @dataclass(frozen=True)
 class CycleKernel:
     """Precomputed grouped transfer operators for one scheme/observable."""
@@ -80,15 +107,7 @@ def build_cycle_kernel(
     if observable not in OBSERVABLES:
         raise ValueError(f"observable must be one of {OBSERVABLES}")
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    if scheme != "RM":
-        for channel in (model.cold_channel, model.hot_channel):
-            violation = decoupling_violation(channel)
-            if violation > DECOUPLING_TOL:
-                raise ValueError(
-                    "thermal channel mixes population and coherence sectors "
-                    f"(violation {violation:.3e}); the accumulated-pointer "
-                    "lattice reduction does not apply"
-                )
+    require_sector_separation(model, scheme)
     coeffs = tilted_cycle_coefficients(model, scheme)
     steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1, dtype=np.int64)
     if observable == "work":
@@ -135,12 +154,25 @@ class LatticeAccumulator:
 def initialize_accumulator(
     rho: np.ndarray, capacity: int, observable: str, eps_c: float, eps_h: float
 ) -> LatticeAccumulator:
-    """Delta distribution at the lattice origin carrying the (folded) state."""
+    """Delta distribution at the lattice origin carrying the (folded) state.
+
+    Refuses, before allocating, a capacity whose lattice run would need more
+    than LATTICE_MEMORY_BUDGET bytes at its peak.
+    """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
     if observable not in OBSERVABLES:
         raise ValueError(f"observable must be one of {OBSERVABLES}")
     size = 4 * capacity + 1
+    points = size**2 if observable == "work" else size
+    peak = _GRIDS_AT_PEAK * points * 4 * np.dtype(complex).itemsize
+    if peak > LATTICE_MEMORY_BUDGET:
+        raise ValueError(
+            f"a {capacity}-cycle {observable} lattice needs about "
+            f"{peak / 2**30:,.1f} GiB, over the {LATTICE_MEMORY_BUDGET / 2**30:g} GiB "
+            "lattice budget; for moments alone use `ottomon moments`, which "
+            "needs no lattice"
+        )
     offset = 2 * capacity
     rho_vec = vec(np.asarray(rho, dtype=complex))
     if observable == "work":
@@ -241,13 +273,6 @@ def weight_table(
     return out
 
 
-def _center_grid(acc: LatticeAccumulator) -> np.ndarray:
-    if acc.observable == "work":
-        idx = np.arange(acc.grid.shape[0]) - acc.offset
-        return idx[:, None] * acc.eps_c + idx[None, :] * acc.eps_h
-    return (np.arange(acc.grid.shape[0]) - acc.offset) * acc.eps_h
-
-
 def assemble_marginal(
     acc: LatticeAccumulator,
     scheme: str,
@@ -264,23 +289,30 @@ def assemble_marginal(
         )
     weights = trace_of_vec(acc.grid).real
     occupied = np.abs(acc.grid).max(axis=-1) > 0.0
-    centers = _center_grid(acc)
+    idx = np.arange(acc.grid.shape[0]) - acc.offset
     if observable == "work":
+        centers = idx[:, None] * acc.eps_c + idx[None, :] * acc.eps_h
         variance = work_variance(scheme, cycles, sigma)
     else:
+        centers = idx * acc.eps_h
         variance = heat_variance(scheme, cycles, sigma)
     return GaussianMixture1D(centers[occupied], weights[occupied], variance)
+
+
+def resolve_initial_state(
+    model: EngineModel, initial: np.ndarray | None = None
+) -> np.ndarray:
+    """The given initial state, or the configured one when none is given."""
+    if initial is None:
+        return asymptotics.initial_state(model.config, model)
+    return np.asarray(initial, dtype=complex)
 
 
 def prepare_initial_state(
     model: EngineModel, scheme: str, observable: str, initial: np.ndarray | None = None
 ) -> np.ndarray:
     """Resolve the configured initial state and apply the fold if needed."""
-    rho = (
-        asymptotics.initial_state(model.config, model)
-        if initial is None
-        else np.asarray(initial, dtype=complex)
-    )
+    rho = resolve_initial_state(model, initial)
     if fold_required(scheme, observable):
         rho = fold_initial_state_rc(rho, model.sigma, model.h_cold.epsilon)
     return rho
@@ -313,25 +345,6 @@ def marginal_via_lattice(
     return assemble_marginal(acc, scheme, cycles, kernel.model.sigma, observable)
 
 
-def assemble_joint(
-    acc: LatticeAccumulator, scheme: str, sigma: float
-) -> GaussianMixture2D:
-    """Joint (work, heat) mixture of an accumulated work lattice.
-
-    The point (a, b) carries work a*eps_c + b*eps_h and heat -b*eps_h.
-    """
-    if acc.observable != "work":
-        raise ValueError("the joint mixture is read from a work lattice")
-    weights = trace_of_vec(acc.grid).real
-    occupied = np.abs(acc.grid).max(axis=-1) > 0.0
-    ia, ib = np.nonzero(occupied)
-    a = ia - acc.offset
-    b = ib - acc.offset
-    centers = np.stack([a * acc.eps_c + b * acc.eps_h, -b * acc.eps_h], axis=1)
-    cov = joint_covariance(scheme, acc.cycles_done, sigma)
-    return GaussianMixture2D(centers, weights[occupied], cov)
-
-
 def joint_via_lattice(
     engine: EngineConfig | EngineModel,
     scheme: str,
@@ -341,13 +354,100 @@ def joint_via_lattice(
     """Joint (work, heat) mixture after the given number of cycles.
 
     The work lattice resolves both observables at once, so no separate joint
-    accumulator is needed.  A single heat pointer cannot produce a joint
-    record, hence the one-pointer scheme is rejected.
+    accumulator is needed: the point (a, b) carries work a*eps_c + b*eps_h
+    and heat -b*eps_h.  A single heat pointer cannot produce a joint record,
+    hence the one-pointer scheme is rejected.
     """
     if scheme == "RC1":
         raise ValueError("joint distribution requires two pointers")
     kernel = build_cycle_kernel(engine, scheme, "work")
-    return assemble_joint(accumulate(kernel, cycles, initial), scheme, kernel.model.sigma)
+    acc = accumulate(kernel, cycles, initial)
+    weights = trace_of_vec(acc.grid).real
+    occupied = np.abs(acc.grid).max(axis=-1) > 0.0
+    ia, ib = np.nonzero(occupied)
+    a = ia - acc.offset
+    b = ib - acc.offset
+    centers = np.stack([a * acc.eps_c + b * acc.eps_h, -b * acc.eps_h], axis=1)
+    cov = joint_covariance(scheme, cycles, kernel.model.sigma)
+    return GaussianMixture2D(centers, weights[occupied], cov)
+
+
+def moment_series(
+    engine: EngineConfig | EngineModel,
+    scheme: str,
+    n_max: int,
+    initial: np.ndarray | None = None,
+) -> list[MomentSet]:
+    """Mixture moments after 1..n_max cycles, read off the tilted cycle map.
+
+    With K(l, m) = sum_ab exp(l x_ab + m q_b) G[a, b], where x_ab = a eps_c +
+    b eps_h and q_b = -b eps_h are the work and heat increments of the
+    coefficient G[a, b], the moments after N cycles are the derivatives of
+    Tr K(l, m)^N rho at zero counting field (full counting statistics).  The
+    Taylor coefficients of K(l, m)^N rho to second order obey
+
+        v <- K0 v
+        d <- K0 d + K1 v                      (per observable)
+        s <- K0 s + K1 d + K2 v / 2           (per observable)
+        c <- K0 c + K_w d_q + K_q d_w + K_wq v
+
+    with K0 = sum G, K1 = sum x G, K2 = sum x^2 G, K_wq = sum x q G, and give
+    <X> = Tr d, <X^2> = 2 Tr s and <WQ> = Tr c; the pointer terms are added
+    as in the assembled mixtures.  Work and heat start from their own
+    prepared initial states; RC1 folds only the work one and has no joint
+    record, so its cross moment is nan.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
+    model = engine if isinstance(engine, EngineModel) else build_model(engine)
+    require_sector_separation(model, scheme)
+    coeffs = tilted_cycle_coefficients(model, scheme)
+    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
+    x = steps[:, None] * model.h_cold.epsilon + steps[None, :] * model.h_hot.epsilon
+    q = np.broadcast_to(-steps[None, :] * model.h_hot.epsilon, x.shape)
+
+    def weighted(increment: np.ndarray) -> np.ndarray:
+        return np.einsum("ab,abij->ij", increment, coeffs)
+
+    k0 = coeffs.sum(axis=(0, 1))
+    k_w, k_q = weighted(x), weighted(q)
+    zero = np.zeros((4, 4), dtype=complex)
+    # Block lower-triangular step of the coefficient stack (v, d_w, d_q, s_w,
+    # s_q, c).
+    step = np.block(
+        [
+            [k0, zero, zero, zero, zero, zero],
+            [k_w, k0, zero, zero, zero, zero],
+            [k_q, zero, k0, zero, zero, zero],
+            [0.5 * weighted(x * x), k_w, zero, k0, zero, zero],
+            [0.5 * weighted(q * q), zero, k_q, zero, k0, zero],
+            [weighted(x * q), k_q, k_w, zero, zero, k0],
+        ]
+    )
+    rho = resolve_initial_state(model, initial)
+    stack = np.zeros((24, 2), dtype=complex)
+    for column, observable in enumerate(OBSERVABLES):
+        stack[:4, column] = vec(prepare_initial_state(model, scheme, observable, rho))
+    joint = fold_required(scheme, "work") == fold_required(scheme, "heat")
+    sigma = model.sigma
+    out = []
+    for n in range(1, n_max + 1):
+        stack = step @ stack
+        # Block traces; column 0 starts from the work state, 1 from the heat one.
+        tr = trace_of_vec(stack.reshape(6, 4, 2).transpose(0, 2, 1)).real
+        cross = tr[5, 0] + joint_covariance(scheme, n, sigma)[0, 1] if joint else np.nan
+        out.append(
+            MomentSet(
+                float(tr[1, 0]),
+                float(tr[2, 1]),
+                float(2.0 * tr[3, 0] + work_variance(scheme, n, sigma)),
+                float(2.0 * tr[4, 1] + heat_variance(scheme, n, sigma)),
+                float(cross),
+            )
+        )
+    return out
 
 
 def work_per_cycle_series(
@@ -361,24 +461,10 @@ def work_per_cycle_series(
     Returns one row (N, <W>_N / N, R_N) per cycle, where R is the negated
     mean over the standard deviation of the accumulated work record.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    kernel = build_cycle_kernel(engine, scheme, "work")
-    model = kernel.model
-    rho = prepare_initial_state(model, scheme, "work", initial)
-    acc = initialize_accumulator(
-        rho, n_max, "work", model.h_cold.epsilon, model.h_hot.epsilon
-    )
-    centers = _center_grid(acc)
     rows = []
-    for n in range(1, n_max + 1):
-        acc = advance_cycle(acc, kernel)
-        weights = trace_of_vec(acc.grid).real
-        mean = float((weights * centers).sum())
-        second = float((weights * centers**2).sum()) + work_variance(
-            scheme, n, model.sigma
-        )
-        variance = second - mean**2
+    for n, moments in enumerate(moment_series(engine, scheme, n_max, initial), 1):
+        variance = moments.work_variance
+        mean = moments.mean_work
         reliability = -mean / np.sqrt(variance) if variance > 0 else np.inf
         rows.append((n, mean / n, float(reliability)))
     return rows

@@ -111,6 +111,46 @@ def analytic_moments_perfect(engine: EngineConfig | EngineModel) -> MomentSet:
     )
 
 
+def perfect_readout_moments(
+    engine: EngineConfig | EngineModel,
+) -> dict[str, MomentSet] | None:
+    """Single-cycle RM and RC moments for perfect thermalization.
+
+    The zero-width closed form plus the pointer terms of each readout: the
+    per-stroke pointers add 4 sigma^2 to <W^2>, 2 sigma^2 to <Q^2> and
+    -2 sigma^2 to <WQ>; the accumulated pointers add sigma^2 to each second
+    moment.  None when a target state carries coherence, which the closed
+    form does not describe.
+    """
+    model = engine if isinstance(engine, EngineModel) else build_model(engine)
+    config = model.config
+    if not isinstance(config.thermo, PerfectThermo):
+        raise ValueError("closed form requires perfect thermalization")
+    target_cold, target_hot = perfect_targets(
+        config.thermo, model.h_cold, model.h_hot
+    )
+    if abs(target_cold.q) > 0 or abs(target_hot.q) > 0:
+        return None
+    base = analytic_moments_perfect(model)
+    sig2 = config.sigma**2
+    return {
+        "RM": MomentSet(
+            base.mean_work,
+            base.mean_heat,
+            base.second_work + 4.0 * sig2,
+            base.second_heat + 2.0 * sig2,
+            base.cross - 2.0 * sig2,
+        ),
+        "RC": MomentSet(
+            base.mean_work,
+            base.mean_heat,
+            base.second_work + sig2,
+            base.second_heat + sig2,
+            base.cross,
+        ),
+    }
+
+
 def analytic_moments_lindblad(
     engine: EngineConfig | EngineModel, initial: ThermalState | np.ndarray
 ) -> dict[str, MomentSet]:

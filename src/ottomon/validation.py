@@ -27,24 +27,22 @@ from .engine import (
     EngineConfig,
     EngineModel,
     LindbladThermo,
-    PerfectThermo,
     SCHEMES,
     build_model,
-    perfect_targets,
 )
 from .lattice import (
     OBSERVABLES,
-    advance_cycle,
-    assemble_marginal,
+    accumulate,
     build_cycle_kernel,
-    initialize_accumulator,
-    prepare_initial_state,
+    marginal_via_lattice,
+    moment_series,
+    require_sector_separation,
     weight_table,
 )
 from .moments import (
     MomentSet,
     analytic_moments_lindblad,
-    analytic_moments_perfect,
+    perfect_readout_moments,
 )
 from .oracle import BranchCoefficient, enumerate_branches, grouped_work_weights
 from .superop import unvec, vec
@@ -158,17 +156,13 @@ def scaled_branch_weights(
     return out
 
 
-def _lattice_weights(
-    model: EngineModel, scheme: str, observable: str, cycles: int, rho0: np.ndarray
-) -> dict:
-    kernel = build_cycle_kernel(model, scheme, observable)
-    rho = prepare_initial_state(model, scheme, observable, rho0)
-    acc = initialize_accumulator(
-        rho, cycles, observable, model.h_cold.epsilon, model.h_hot.epsilon
-    )
-    for _ in range(cycles):
-        acc = advance_cycle(acc, kernel)
-    return weight_table(acc)
+def _sector_skip_reason(model: EngineModel) -> str | None:
+    """Why the accumulated-pointer legs cannot run here, or None."""
+    try:
+        require_sector_separation(model, "RC2")
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def compare_weight_tables(reference: dict, candidate: dict) -> tuple[float, str]:
@@ -228,7 +222,11 @@ def _check_channel_properties(model: EngineModel) -> list[CheckResult]:
 
 
 def _check_oracle_vs_lattice(
-    model: EngineModel, rho0: np.ndarray, cycles: int, scale: float
+    model: EngineModel,
+    rho0: np.ndarray,
+    cycles: int,
+    scale: float,
+    rc_skip: str | None,
 ) -> list[CheckResult]:
     results = []
     ns = sorted({1, min(cycles, 2)})
@@ -236,10 +234,14 @@ def _check_oracle_vs_lattice(
         branches = enumerate_branches(model, n, initial=rho0, prune=0.0)
         for scheme in SCHEMES:
             for observable in OBSERVABLES:
-                reference = scaled_branch_weights(branches, scheme, observable, scale)
-                candidate = _lattice_weights(model, scheme, observable, n, rho0)
-                deviation, detail = compare_weight_tables(reference, candidate)
                 name = f"enumeration_vs_lattice_{scheme.lower()}_{observable}_n{n}"
+                if scheme != "RM" and rc_skip:
+                    results.append(CheckResult(name, "skip", detail=rc_skip))
+                    continue
+                reference = scaled_branch_weights(branches, scheme, observable, scale)
+                kernel = build_cycle_kernel(model, scheme, observable)
+                candidate = weight_table(accumulate(kernel, n, rho0))
+                deviation, detail = compare_weight_tables(reference, candidate)
                 status = "pass" if deviation <= WEIGHT_TOL and not detail else "fail"
                 results.append(
                     CheckResult(name, status, deviation, WEIGHT_TOL, detail)
@@ -259,7 +261,7 @@ def _check_oracle_vs_lattice(
     return results
 
 
-def _moment_deviation(numeric: MomentSet, analytic: MomentSet) -> float:
+def _moment_deviation(numeric: tuple[float, ...], analytic: tuple[float, ...]) -> float:
     dev = 0.0
     for a, b in zip(numeric, analytic):
         dev = max(dev, abs(a - b) / max(1.0, abs(b)))
@@ -291,11 +293,8 @@ def _check_analytic_moments(
                 )
             )
         return results
-    assert isinstance(config.thermo, PerfectThermo)
-    target_cold, target_hot = perfect_targets(
-        config.thermo, model.h_cold, model.h_hot
-    )
-    if abs(target_cold.q) > 0 or abs(target_hot.q) > 0:
+    expected = perfect_readout_moments(model)
+    if expected is None:
         results.append(
             CheckResult(
                 "analytic_moments",
@@ -304,25 +303,7 @@ def _check_analytic_moments(
             )
         )
         return results
-    base = analytic_moments_perfect(model)
-    sig2 = config.sigma**2
-    expected = {
-        "RM": MomentSet(
-            base.mean_work,
-            base.mean_heat,
-            base.second_work + 4.0 * sig2,
-            base.second_heat + 2.0 * sig2,
-            base.cross - 2.0 * sig2,
-        ),
-        "RC": MomentSet(
-            base.mean_work,
-            base.mean_heat,
-            base.second_work + sig2,
-            base.second_heat + sig2,
-            base.cross,
-        ),
-    }
-    rho_t = target_cold.matrix
+    rho_t = model.cold_channel.target.matrix
     numeric = {
         "RM": MomentSet(*joint_pdf_rm(model, 1, initial=rho_t).moments()),
         "RC": MomentSet(*joint_pdf_rc(model, 1, initial=rho_t).moments()),
@@ -339,11 +320,18 @@ def _check_analytic_moments(
     return results
 
 
-def _check_densities(
-    model: EngineModel, rho0: np.ndarray, cycles: int
+def _check_lattice_marginals(
+    model: EngineModel, rho0: np.ndarray, cycles: int, rc_skip: str | None
 ) -> list[CheckResult]:
+    """Density legs and recursion-vs-lattice moment legs on the marginals.
+
+    Both read the same lattice mixtures after min(cycles, DENSITY_CYCLE_CAP)
+    cycles, so the moment recursion and the lattice check each other at no
+    extra lattice cost.
+    """
     results = []
-    if model.sigma == 0.0:
+    densities = model.sigma > 0.0
+    if not densities:
         results.append(
             CheckResult(
                 "density_normalization",
@@ -351,40 +339,57 @@ def _check_densities(
                 detail="zero pointer width, point-mass mixtures have no density",
             )
         )
-        return results
     n = min(cycles, DENSITY_CYCLE_CAP)
     for scheme in SCHEMES:
+        recursion = None
+        if scheme == "RM" or not rc_skip:
+            recursion = moment_series(model, scheme, n, rho0)[-1]
         for observable in OBSERVABLES:
-            kernel = build_cycle_kernel(model, scheme, observable)
-            rho = prepare_initial_state(model, scheme, observable, rho0)
-            acc = initialize_accumulator(
-                rho, n, observable, model.h_cold.epsilon, model.h_hot.epsilon
-            )
-            for _ in range(n):
-                acc = advance_cycle(acc, kernel)
-            mix = assemble_marginal(acc, scheme, n, model.sigma, observable)
-            pad = 8.0 * np.sqrt(mix.variance)
-            grid = np.linspace(
-                mix.centers.min() - pad,
-                mix.centers.max() + pad,
-                DENSITY_GRID_POINTS,
-            )
-            density = mix.density(grid)
-            integral = float(np.trapezoid(density, grid))
             tag = f"{scheme.lower()}_{observable}_n{n}"
-            results.append(
-                _compare(
-                    f"density_normalization_{tag}",
-                    abs(integral - 1.0),
-                    DENSITY_NORM_TOL,
+            if recursion is None:
+                legs = []
+                if densities:
+                    legs += ["density_normalization", "density_positivity"]
+                legs.append("moment_recursion_vs_lattice")
+                results.extend(
+                    CheckResult(f"{leg}_{tag}", "skip", detail=rc_skip) for leg in legs
                 )
-            )
+                continue
+            mix = marginal_via_lattice(model, scheme, observable, n, rho0)
+            if densities:
+                pad = 8.0 * np.sqrt(mix.variance)
+                grid = np.linspace(
+                    mix.centers.min() - pad,
+                    mix.centers.max() + pad,
+                    DENSITY_GRID_POINTS,
+                )
+                density = mix.density(grid)
+                integral = float(np.trapezoid(density, grid))
+                results.append(
+                    _compare(
+                        f"density_normalization_{tag}",
+                        abs(integral - 1.0),
+                        DENSITY_NORM_TOL,
+                    )
+                )
+                results.append(
+                    _compare(
+                        f"density_positivity_{tag}",
+                        max(0.0, -float(density.min())),
+                        POSITIVITY_TOL,
+                        "magnitude of the most negative density value",
+                    )
+                )
+            if observable == "work":
+                moments = (recursion.mean_work, recursion.second_work)
+            else:
+                moments = (recursion.mean_heat, recursion.second_heat)
             results.append(
                 _compare(
-                    f"density_positivity_{tag}",
-                    max(0.0, -float(density.min())),
-                    POSITIVITY_TOL,
-                    "magnitude of the most negative density value",
+                    f"moment_recursion_vs_lattice_{tag}",
+                    _moment_deviation(moments, mix.moments()),
+                    MOMENT_TOL,
+                    "mean and second moment",
                 )
             )
     return results
@@ -472,10 +477,13 @@ def run_validation(
         )
         results.extend(_check_spectra(model))
         return ValidationReport(tuple(results))
+    rc_skip = _sector_skip_reason(model)
     results.extend(
-        _check_oracle_vs_lattice(model, rho0, config.cycles, suppression_scale)
+        _check_oracle_vs_lattice(
+            model, rho0, config.cycles, suppression_scale, rc_skip
+        )
     )
     results.extend(_check_analytic_moments(model, rho0))
-    results.extend(_check_densities(model, rho0, config.cycles))
+    results.extend(_check_lattice_marginals(model, rho0, config.cycles, rc_skip))
     results.extend(_check_spectra(model))
     return ValidationReport(tuple(results))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,27 @@ def test_pdf_rejects_bad_grids(capsys):
     assert "error:" in err
 
 
+def test_pdf_default_grid_resolves_long_records(capsys):
+    # The default window follows the components the densities evaluate, so
+    # the narrow accumulated-pointer components stay resolved on 200 cycles.
+    code, out, _ = run_cli(capsys, "pdf", "--observable", "heat", "--cycles", "200")
+    assert code == 0
+    header, rows = parse_csv(out)
+    grid = column(header, rows, "value")
+    for name in header[1:]:
+        density = column(header, rows, name)
+        assert abs(np.trapezoid(density, grid) - 1.0) < 1e-6, name
+
+
+def test_pdf_refuses_a_lattice_over_the_memory_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pdf", "--cycles", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "GiB" in err and "ottomon moments" in err
+
+
 def test_joint_csv_matches_the_enumeration(capsys):
     code, out, _ = run_cli(capsys, "joint", "--cycles", "1")
     assert code == 0
@@ -155,6 +177,24 @@ def test_moments_columns_are_internally_consistent(capsys):
         assert row[header.index("analytic_mean_work")] == ""
     by_scheme = {row[header.index("scheme")]: row for row in rows}
     assert by_scheme["RC1"][header.index("cov_work_heat")] == ""
+
+
+def test_moments_refuse_sector_mixing_targets(capsys):
+    code, out, err = run_cli(
+        capsys, "moments", "--thermo", "perfect", "--targets", "generalized_gibbs"
+    )
+    assert code == 2
+    assert out == ""
+    assert "mixes population and coherence sectors" in err
+
+
+def test_moments_reach_long_records_without_a_lattice(capsys):
+    code, out, _ = run_cli(capsys, "moments", "--cycles", "500")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert [row[header.index("scheme")] for row in rows] == ["RM", "RC1", "RC2"]
+    for name in ("mean_work", "var_work", "mean_heat", "var_heat", "reliability"):
+        assert np.isfinite(column(header, rows, name)).all(), name
 
 
 def test_moments_single_cycle_reports_closed_forms(capsys):
@@ -322,6 +362,18 @@ def test_validate_exit_codes(capsys):
     )
     assert code == 1
     assert out.strip().splitlines()[-1].startswith("FAILED:")
+
+
+def test_validate_skips_accumulated_pointer_legs_on_sector_mixing(capsys):
+    code, out, _ = run_cli(
+        capsys, "validate", "--thermo", "perfect", "--targets", "generalized_gibbs",
+        "--init", "generalized_gibbs_cold",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-1].startswith("PASSED:")
+    assert not any(line.startswith("FAIL") for line in lines)
+    assert any(line.startswith("SKIP enumeration_vs_lattice_rc2") for line in lines)
 
 
 def test_validate_json(capsys):

@@ -1,6 +1,8 @@
 """Polynomial-cost lattice accumulation versus the brute-force enumeration."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 from ottomon import EngineConfig
 from ottomon.engine import build_model
 from ottomon.lattice import (
+    LATTICE_MEMORY_BUDGET,
     advance_cycle,
     build_cycle_kernel,
     fold_initial_state_rc,
@@ -115,6 +118,24 @@ def test_accumulator_capacity_is_enforced(default_config) -> None:
     acc = advance_cycle(acc, kernel)
     with pytest.raises(ValueError, match="capacity"):
         advance_cycle(acc, kernel)
+
+
+def test_accumulator_refuses_lattices_over_the_memory_budget() -> None:
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ottomon moments"):
+            initialize_accumulator(rho, 100_000, "work", 1.0, 3.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Refused from the estimate, before any grid is allocated.
+    assert peak < 2**20
+    # Every lattice size in use (at most 200 cycles) fits the budget.
+    assert LATTICE_MEMORY_BUDGET == 2**30
+    for observable in ("work", "heat"):
+        acc = initialize_accumulator(rho, 200, observable, 1.0, 3.7)
+        assert acc.capacity == 200
 
 
 def test_trace_is_conserved_across_cycles(default_config) -> None:

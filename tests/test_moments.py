@@ -18,6 +18,7 @@ from ottomon.moments import (
     analytic_moments_perfect,
     efficiency,
     moments_from_tuple,
+    perfect_readout_moments,
     power_output,
     reliability,
 )
@@ -66,6 +67,26 @@ def test_perfect_chain_plus_widths_matches_enumeration_at_finite_width() -> None
     }
     for kind in ("RM", "RC"):
         assert_allclose(chain + widths[kind], numeric[kind], atol=1e-12, err_msg=kind)
+
+
+def test_perfect_readout_moments_add_the_pointer_terms(
+    adiabatic_perfect_config,
+) -> None:
+    config = EngineConfig(thermo=PerfectThermo(beta_c=0.25, beta_h=0.025), sigma=0.3)
+    chain = _as_array(analytic_moments_perfect(config))
+    sig2 = config.sigma**2
+    readout = perfect_readout_moments(config)
+    assert set(readout) == {"RM", "RC"}
+    assert_allclose(
+        _as_array(readout["RM"]), chain + np.array([0, 0, 4, 2, -2]) * sig2, rtol=1e-15
+    )
+    assert_allclose(
+        _as_array(readout["RC"]), chain + np.array([0, 0, 1, 1, 0]) * sig2, rtol=1e-15
+    )
+    # Coherent targets have no closed form; finite-time baths are refused.
+    assert perfect_readout_moments(adiabatic_perfect_config) is None
+    with pytest.raises(ValueError, match="perfect thermalization"):
+        perfect_readout_moments(EngineConfig())
 
 
 def test_analytic_perfect_requires_perfect_thermalization(default_config) -> None:

@@ -43,6 +43,15 @@ def test_report_covers_every_check_family(default_report):
         assert fragment in names, fragment
 
 
+def test_recursion_legs_check_the_lattice_marginals(default_report):
+    by_name = {r.name: r for r in default_report.results}
+    for scheme in ("rm", "rc1", "rc2"):
+        for observable in ("work", "heat"):
+            result = by_name[f"moment_recursion_vs_lattice_{scheme}_{observable}_n1"]
+            assert result.status == "pass"
+            assert result.deviation <= 1e-13
+
+
 def test_report_lines_and_dict(default_report):
     lines = default_report.lines()
     assert len(lines) == len(default_report.results) + 1
@@ -83,6 +92,23 @@ def test_dissipationless_configuration_skips_state_legs():
     # degenerate by design and the check asserts exactly that.
     assert by_name["fixed_point_degeneracy_rc"].status == "pass"
     assert not any(name.startswith("enumeration_vs_lattice") for name in by_name)
+
+
+def test_sector_mixing_skips_only_the_accumulated_pointer_legs(
+    adiabatic_perfect_config,
+):
+    report = run_validation(adiabatic_perfect_config)
+    assert report.passed
+    skipped = {r.name: r.detail for r in report.results if r.status == "skip"}
+    rc_legs = [name for name in skipped if "_rc1_" in name or "_rc2_" in name]
+    # One cycle: four enumeration legs, then two density legs and one
+    # recursion leg per accumulated-pointer marginal.
+    assert len(rc_legs) == 4 + 4 * 3
+    for name in rc_legs:
+        assert "mixes population and coherence sectors" in skipped[name]
+    ran = {r.name for r in report.results if r.status == "pass"}
+    assert {"enumeration_vs_lattice_rm_work_n1", "density_normalization_rm_heat_n1",
+            "moment_recursion_vs_lattice_rm_work_n1", "spectral_radius_rc"} <= ran
 
 
 def test_check_result_validation_and_line():
