@@ -201,7 +201,13 @@ def cmd_pdf(args) -> int:
     if not hi > lo:
         raise ConfigError("grid upper bound must exceed the lower bound")
     grid = np.linspace(lo, hi, args.points)
-    dens = {name: mix.density(grid) for name, mix in mixes.items()}
+    dens = {name: mixes[name].density(grid) for name in ("RM", "RC2")}
+    # The two accumulated-pointer work mixtures come from one lattice with one
+    # variance, so they share their density.
+    if args.observable == "work":
+        dens["RC1"] = dens["RC2"]
+    else:
+        dens["RC1"] = mixes["RC1"].density(grid)
     scale = max(1.0, float(dens["RC2"].max()))
     split = float(np.abs(dens["RC1"] - dens["RC2"]).max()) > DENSITY_MATCH_TOL * scale
     header = ["value", "density_rm", "density_rc"]

@@ -187,35 +187,49 @@ def contact_suppression(epsilon: float, sigma: float) -> float:
     return float(np.exp(-(epsilon**2) / (2.0 * sigma**2)))
 
 
-def _apply_contact(
-    coeffs: np.ndarray, axis: int, power: int, overlap: float
+def apply_contact(
+    values: np.ndarray, axis: int, power: int, overlap: float
 ) -> np.ndarray:
-    """Left-multiply by the contact factor diag(z^-power, w, w, z^power).
+    """Multiply by the contact factor diag(z^-power, w, w, z^power).
 
-    ``z`` is the counting variable of lattice ``axis``: multiplying the ground
-    row by z^-power moves its coefficients down ``power`` lattice steps and the
-    excited row up; the coherence rows keep their shift and take the overlap.
-    The per-cycle degree never exceeds MAX_SHIFT, so the rolls never wrap.
+    ``values`` holds four operator components on its first axis, the two
+    populations first and last and the coherence sector between them (vec
+    order [rho00, rho10, rho01, rho11], or its real Hermitian counterpart),
+    and lattice axes after; ``z`` is the counting variable of array ``axis``.
+    The lattice box grows by one step on each side of that axis: the ground
+    population moves ``power`` steps down, the excited one ``power`` steps
+    up, and the coherences stay in place scaled by the overlap ``w``.
     """
-    out = np.empty_like(coeffs)
-    out[..., 0, :] = np.roll(coeffs[..., 0, :], -power, axis=axis)
-    out[..., 1:3, :] = overlap * coeffs[..., 1:3, :]
-    out[..., 3, :] = np.roll(coeffs[..., 3, :], power, axis=axis)
+    shape = list(values.shape)
+    length = shape[axis]
+    shape[axis] += 2
+    out = np.zeros(shape, dtype=values.dtype)
+
+    def at(component, start: int) -> tuple:
+        index = [component] + [slice(None)] * (len(shape) - 1)
+        index[axis] = slice(start, start + length)
+        return tuple(index)
+
+    out[at(0, 1 - power)] = values[0]
+    out[at(3, 1 + power)] = values[3]
+    np.multiply(values[1:3], overlap, out=out[at(slice(1, 3), 1)])
     return out
 
 
-def tilted_cycle_coefficients(model: EngineModel, scheme: str) -> np.ndarray:
-    """Coefficients of the tilted single-cycle map of a monitoring scheme.
+def cycle_contacts(
+    model: EngineModel, scheme: str
+) -> tuple[tuple[int, int, float, np.ndarray], ...]:
+    """The four tilted contacts of one cycle, in order, each with its stroke.
 
-    K(x, y) = Cold C(x) Rev C(1/y) Hot C(y) Fwd C(1/x), with the contact factor
-    C(z) = diag(1/z, w, w, z) on vec(rho) = [rho00, rho10, rho01, rho11], is a
-    Laurent polynomial in the work-lattice counting variables: the coefficient
-    of x^a y^b sums every contact-outcome branch whose work center moves by
-    a*eps_c + b*eps_h (and heat center by -b*eps_h) per cycle.  ``w`` is the
-    pointer overlap of a mismatched contact for per-stroke readout and 1 for
-    the accumulated pointers, whose suppression reduces to the initial-state
-    fold.  Returns G with G[a + MAX_SHIFT, b + MAX_SHIFT] the 4x4 coefficient
-    of x^a y^b; G.sum(axis=(0, 1)) is K(1, 1), the cycle map itself.
+    Each entry is (lattice axis, exponent sign, overlap, stroke): the contact
+    factor C(z) = diag(1/z, w, w, z) on vec(rho) = [rho00, rho10, rho01, rho11]
+    raised to the exponent sign, with z the counting variable of the lattice
+    axis (0 for the cold contacts, 1 for the hot ones) and w the overlap,
+    followed by the superoperator of the stroke after the contact.  ``w`` is
+    the pointer overlap of a mismatched contact for per-stroke readout and 1
+    for the accumulated pointers, whose suppression reduces to the
+    initial-state fold.  Together they make up the tilted cycle map
+    K(x, y) = Cold C(x) Rev C(1/y) Hot C(y) Fwd C(1/x).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -224,19 +238,32 @@ def tilted_cycle_coefficients(model: EngineModel, scheme: str) -> np.ndarray:
         w_hot = contact_suppression(model.h_hot.epsilon, model.sigma)
     else:
         w_cold = w_hot = 1.0
-    size = 2 * MAX_SHIFT + 1
-    coeffs = np.zeros((size, size, 4, 4), dtype=complex)
-    coeffs[MAX_SHIFT, MAX_SHIFT] = np.eye(4)
-    # (lattice axis, exponent sign, overlap, stroke that follows) per contact.
-    contacts = (
+    return (
         (0, -1, w_cold, conjugation(model.forward_unitary)),
         (1, 1, w_hot, model.hot_channel.superoperator()),
         (1, -1, w_hot, conjugation(model.reverse_unitary)),
         (0, 1, w_cold, model.cold_channel.superoperator()),
     )
-    for axis, power, overlap, stroke in contacts:
-        coeffs = stroke @ _apply_contact(coeffs, axis, power, overlap)
-    return coeffs
+
+
+def tilted_cycle_coefficients(model: EngineModel, scheme: str) -> np.ndarray:
+    """Coefficients of the tilted single-cycle map of a monitoring scheme.
+
+    K(x, y) = Cold C(x) Rev C(1/y) Hot C(y) Fwd C(1/x) (see
+    :func:`cycle_contacts`) is a Laurent polynomial in the work-lattice
+    counting variables: the coefficient of x^a y^b sums every contact-outcome
+    branch whose work center moves by a*eps_c + b*eps_h (and heat center by
+    -b*eps_h) per cycle.  Returns G with G[a + MAX_SHIFT, b + MAX_SHIFT] the
+    4x4 coefficient of x^a y^b; G.sum(axis=(0, 1)) is K(1, 1), the cycle map
+    itself.
+    """
+    # Rows, columns, then the x and y lattice axes, each growing to
+    # 2 MAX_SHIFT + 1 points.
+    coeffs = np.eye(4, dtype=complex).reshape(4, 4, 1, 1)
+    for axis, power, overlap, stroke in cycle_contacts(model, scheme):
+        moved = apply_contact(coeffs, 2 + axis, power, overlap)
+        coeffs = np.tensordot(stroke, moved, axes=1)
+    return coeffs.transpose(2, 3, 0, 1)
 
 
 def work_variance(scheme: str, cycles: int, sigma: float) -> float:

@@ -1,12 +1,14 @@
 """Polynomial-cost recursion over integer energy lattices.
 
 Instead of tracking the exponentially many branch chains individually, the
-accumulator stores one 2x2 operator block per reachable lattice point and
-advances it by the per-cycle transfer operators: the coefficients of the
-tilted cycle map, one per integer lattice increment.  For the
-accumulated-pointer schemes this reduction is only valid for thermal channels
-whose population and coherence sectors never mix, so kernel construction
-fails closed on channels that violate that condition.
+accumulator stores one Hermitian 2x2 operator block per reachable lattice
+point, as four reals, and advances it through the four contacts of the tilted
+cycle map: each contact moves the two populations one lattice step in
+opposite directions and scales the coherences, and the stroke after it acts
+on every point at once.  For the accumulated-pointer schemes this reduction
+is only valid for thermal channels whose population and coherence sectors
+never mix, so kernel construction fails closed on channels that violate that
+condition.
 """
 from __future__ import annotations
 
@@ -20,7 +22,9 @@ from .engine import (
     EngineConfig,
     EngineModel,
     SCHEMES,
+    apply_contact,
     build_model,
+    cycle_contacts,
     heat_variance,
     joint_covariance,
     tilted_cycle_coefficients,
@@ -34,10 +38,38 @@ from .thermal import DECOUPLING_TOL, decoupling_violation
 OBSERVABLES = ("work", "heat")
 # Largest peak memory a lattice run may need before it is refused.
 LATTICE_MEMORY_BUDGET = 2**30
-# Full-size complex grids alive at the peak of a lattice run: the old and
-# new grids, the copied source box, one scattered block and the assembly
-# temporaries (about 4.9 for work and 3.1 for heat, measured).
-_GRIDS_AT_PEAK = 5
+# Final-size grids alive at the peak of a lattice run: the previous grid, the
+# grid padded by a contact and the stroke's output (2.98 for work and 3.02 for
+# heat, measured at 120 and 2000 cycles; assembly needs under 2.2).
+_GRIDS_AT_PEAK = 3
+# Largest imaginary entry a stroke may carry in the real Hermitian basis, and
+# largest anti-Hermitian entry an initial state may carry.
+HERMITICITY_TOL = 1e-12
+# vec(rho) = _TO_VEC @ r for r = (rho00, Re rho10, Im rho10, rho11), the real
+# coordinates of a Hermitian 2x2 operator; they keep the sector layout of vec,
+# so the contact factors act on them unchanged.
+_TO_VEC = np.array(
+    [[1, 0, 0, 0], [0, 1, 1j, 0], [0, 1, -1j, 0], [0, 0, 0, 1]], dtype=complex
+)
+_FROM_VEC = np.array(
+    [[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0], [0, 0, 0, 1]], dtype=complex
+)
+
+
+def _points_advanced(cycles: int, observable: str) -> int:
+    """Lattice points a run advances: the sum over n < cycles of its box
+    (2 MAX_SHIFT n + 1)^d, in closed form."""
+    step = 2 * MAX_SHIFT
+    linear = cycles * (cycles - 1) // 2
+    if observable == "heat":
+        return step * linear + cycles
+    squares = (cycles - 1) * cycles * (2 * cycles - 1) // 6
+    return step * step * squares + 2 * step * linear + cycles
+
+
+# Largest lattice run admitted, counted in advanced points: that of a
+# 457-cycle work lattice, which bounds the run time of heat lattices too.
+LATTICE_POINT_BUDGET = _points_advanced(457, "work")
 
 
 def fold_initial_state_rc(rho: np.ndarray, sigma: float, eps_c: float) -> np.ndarray:
@@ -88,15 +120,45 @@ def require_sector_separation(model: EngineModel, scheme: str) -> None:
             )
 
 
+def _real_stroke(stroke: np.ndarray) -> np.ndarray:
+    """A stroke superoperator as a real matrix on the Hermitian coordinates."""
+    real = _FROM_VEC @ stroke @ _TO_VEC
+    residue = float(np.abs(real.imag).max())
+    if residue > HERMITICITY_TOL:
+        raise ValueError(
+            f"stroke does not preserve Hermiticity (imaginary residue "
+            f"{residue:.3e}); the real lattice does not apply"
+        )
+    return np.ascontiguousarray(real.real)
+
+
+def _hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
+    """(rho00, Re rho10, Im rho10, rho11) of a Hermitian 2x2 operator."""
+    rho = np.asarray(rho, dtype=complex)
+    skew = float(np.abs(rho - rho.conj().T).max())
+    if skew > HERMITICITY_TOL:
+        raise ValueError(
+            f"initial state is not Hermitian (anti-Hermitian part {skew:.3e})"
+        )
+    return (_FROM_VEC @ vec(rho)).real
+
+
 @dataclass(frozen=True)
 class CycleKernel:
-    """Precomputed grouped transfer operators for one scheme/observable."""
+    """The four tilted contacts of one cycle on a scheme/observable lattice.
+
+    Each contact is (lattice axis, exponent sign, overlap, stroke) as in
+    :func:`ottomon.engine.cycle_contacts`, with the stroke a real 4x4 matrix
+    on the Hermitian coordinates (rho00, Re rho10, Im rho10, rho11).  Heat
+    lattices have one axis, the heat record -b; their cold contacts do not
+    move (x = 1), so their overlap is folded into the stroke and their sign
+    is 0.
+    """
 
     model: EngineModel
     scheme: str
     observable: str
-    shifts: np.ndarray
-    operators: np.ndarray
+    contacts: tuple[tuple[int, int, float, np.ndarray], ...]
 
 
 def build_cycle_kernel(
@@ -108,25 +170,19 @@ def build_cycle_kernel(
         raise ValueError(f"observable must be one of {OBSERVABLES}")
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
     require_sector_separation(model, scheme)
-    coeffs = tilted_cycle_coefficients(model, scheme)
-    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1, dtype=np.int64)
-    if observable == "work":
-        grid = np.meshgrid(steps, steps, indexing="ij")
-        shifts = np.stack(grid, axis=-1).reshape(-1, 2)
-        operators = coeffs.reshape(-1, 4, 4)
-    else:
-        # Heat moves by dq = -b: sum out a, then reverse b into ascending dq.
-        shifts = steps
-        operators = coeffs.sum(axis=0)[::-1]
-    # Groups whose entries are all far below any representable contribution
-    # (fully suppressed readout mismatches) are dropped to save advance work.
-    live = np.abs(operators).max(axis=(1, 2)) > 1e-60
+    contacts = []
+    for axis, power, overlap, stroke in cycle_contacts(model, scheme):
+        real = _real_stroke(stroke)
+        if observable == "heat":
+            if axis == 0:
+                real = real * np.array([1.0, overlap, overlap, 1.0])
+                axis, power, overlap = 0, 0, 1.0
+            else:
+                # Heat moves by dq = -db.
+                axis, power = 0, -power
+        contacts.append((axis, power, overlap, real))
     return CycleKernel(
-        model=model,
-        scheme=scheme,
-        observable=observable,
-        shifts=shifts[live],
-        operators=operators[live],
+        model=model, scheme=scheme, observable=observable, contacts=tuple(contacts)
     )
 
 
@@ -135,20 +191,24 @@ class LatticeAccumulator:
     """Operator-valued distribution over an integer energy lattice.
 
     Work lattices are two-dimensional with value a*eps_c + b*eps_h at point
-    (a, b); heat lattices are one-dimensional with value k*eps_h.  The grid is
-    a dense array with origin at index ``offset`` and the inclusive bounding
-    box of occupied points is tracked to keep each advance proportional to
-    the reached region only.
+    (a, b); heat lattices are one-dimensional with value k*eps_h.  The grid
+    holds the Hermitian coordinates (rho00, Re rho10, Im rho10, rho11) of
+    every point of the reached box along its first axis, one lattice axis
+    after it; after n cycles the box is -2n..2n on every lattice axis, so the
+    origin sits at index ``offset``.  ``capacity`` is the cycle count the
+    lattice was admitted for.
     """
 
     observable: str
     cycles_done: int
     capacity: int
-    offset: int
     grid: np.ndarray
-    bounds: tuple[int, ...]
     eps_c: float
     eps_h: float
+
+    @property
+    def offset(self) -> int:
+        return (self.grid.shape[1] - 1) // 2
 
 
 def initialize_accumulator(
@@ -157,7 +217,8 @@ def initialize_accumulator(
     """Delta distribution at the lattice origin carrying the (folded) state.
 
     Refuses, before allocating, a capacity whose lattice run would need more
-    than LATTICE_MEMORY_BUDGET bytes at its peak.
+    than LATTICE_MEMORY_BUDGET bytes at its peak or advance more than
+    LATTICE_POINT_BUDGET points, and an initial state that is not Hermitian.
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
@@ -165,7 +226,7 @@ def initialize_accumulator(
         raise ValueError(f"observable must be one of {OBSERVABLES}")
     size = 4 * capacity + 1
     points = size**2 if observable == "work" else size
-    peak = _GRIDS_AT_PEAK * points * 4 * np.dtype(complex).itemsize
+    peak = _GRIDS_AT_PEAK * points * 4 * np.dtype(float).itemsize
     if peak > LATTICE_MEMORY_BUDGET:
         raise ValueError(
             f"a {capacity}-cycle {observable} lattice needs about "
@@ -173,23 +234,21 @@ def initialize_accumulator(
             "lattice budget; for moments alone use `ottomon moments`, which "
             "needs no lattice"
         )
-    offset = 2 * capacity
-    rho_vec = vec(np.asarray(rho, dtype=complex))
-    if observable == "work":
-        grid = np.zeros((size, size, 4), dtype=complex)
-        grid[offset, offset] = rho_vec
-        bounds = (offset, offset, offset, offset)
-    else:
-        grid = np.zeros((size, 4), dtype=complex)
-        grid[offset] = rho_vec
-        bounds = (offset, offset)
+    advanced = _points_advanced(capacity, observable)
+    if advanced > LATTICE_POINT_BUDGET:
+        raise ValueError(
+            f"a {capacity}-cycle {observable} lattice advances {advanced:,} "
+            f"points, over the lattice budget of {LATTICE_POINT_BUDGET:,} (a "
+            "457-cycle work lattice); for moments alone use `ottomon moments`, "
+            "which needs no lattice"
+        )
+    shape = (4, 1, 1) if observable == "work" else (4, 1)
+    grid = _hermitian_coordinates(rho).reshape(shape)
     return LatticeAccumulator(
         observable=observable,
         cycles_done=0,
         capacity=capacity,
-        offset=offset,
         grid=grid,
-        bounds=bounds,
         eps_c=eps_c,
         eps_h=eps_h,
     )
@@ -217,58 +276,49 @@ def advance_cycle(
     scheme: str | None = None,
     observable: str | None = None,
 ) -> LatticeAccumulator:
-    """Apply one full cycle, scattering every occupied point by the grouped
-    transfer operators."""
+    """Apply one full cycle: each contact in turn, then the stroke after it."""
     kernel = _resolve_kernel(engine, scheme, observable)
     if kernel.observable != acc.observable:
         raise ValueError("kernel observable does not match the accumulator")
     if acc.cycles_done + 1 > acc.capacity:
         raise ValueError("accumulator capacity exhausted; initialize with more")
-    new_grid = np.zeros_like(acc.grid)
-    if acc.observable == "work":
-        a0, a1, b0, b1 = acc.bounds
-        src = np.ascontiguousarray(acc.grid[a0 : a1 + 1, b0 : b1 + 1])
-        flat = src.reshape(-1, 4)
-        shape = src.shape
-        for (da, db), op in zip(kernel.shifts, kernel.operators):
-            moved = (flat @ op.T).reshape(shape)
-            new_grid[a0 + da : a1 + 1 + da, b0 + db : b1 + 1 + db] += moved
-        shift_a = kernel.shifts[:, 0]
-        shift_b = kernel.shifts[:, 1]
-        bounds = (
-            a0 + int(shift_a.min()),
-            a1 + int(shift_a.max()),
-            b0 + int(shift_b.min()),
-            b1 + int(shift_b.max()),
-        )
-    else:
-        k0, k1 = acc.bounds
-        src = np.ascontiguousarray(acc.grid[k0 : k1 + 1])
-        for dq, op in zip(kernel.shifts, kernel.operators):
-            new_grid[k0 + dq : k1 + 1 + dq] += src @ op.T
-        bounds = (k0 + int(kernel.shifts.min()), k1 + int(kernel.shifts.max()))
-    return replace(
-        acc, cycles_done=acc.cycles_done + 1, grid=new_grid, bounds=bounds
-    )
+    grid = acc.grid
+    for axis, power, overlap, stroke in kernel.contacts:
+        if power:
+            grid = apply_contact(grid, 1 + axis, power, overlap)
+        grid = (stroke @ grid.reshape(4, -1)).reshape(grid.shape)
+    return replace(acc, cycles_done=acc.cycles_done + 1, grid=grid)
+
+
+def _occupied(acc: LatticeAccumulator, tol: float = 0.0) -> np.ndarray:
+    """Points whose operator has an entry of modulus above ``tol``."""
+    grid = acc.grid
+    populations = np.maximum(np.abs(grid[0]), np.abs(grid[3]))
+    return np.maximum(populations, np.hypot(grid[1], grid[2])) > tol
+
+
+def _weights(acc: LatticeAccumulator) -> np.ndarray:
+    """Trace of the operator at every point of the box."""
+    return acc.grid[0] + acc.grid[3]
 
 
 def total_trace(acc: LatticeAccumulator) -> complex:
     """Sum of operator traces over the whole lattice; 1 for valid channels."""
-    return complex(trace_of_vec(acc.grid).sum())
+    return complex(_weights(acc).sum())
 
 
 def weight_table(
     acc: LatticeAccumulator, tol: float = 0.0
 ) -> dict[tuple[int, int], float] | dict[int, float]:
     """Real trace weight per occupied integer lattice point."""
-    traces = trace_of_vec(acc.grid).real
-    occupied = np.abs(acc.grid).max(axis=-1) > tol
+    traces = _weights(acc)
+    occupied = np.nonzero(_occupied(acc, tol))
     out: dict = {}
     if acc.observable == "work":
-        for ia, ib in zip(*np.nonzero(occupied)):
+        for ia, ib in zip(*occupied):
             out[(int(ia - acc.offset), int(ib - acc.offset))] = float(traces[ia, ib])
     else:
-        for (ik,) in zip(*np.nonzero(occupied)):
+        for (ik,) in zip(*occupied):
             out[int(ik - acc.offset)] = float(traces[ik])
     return out
 
@@ -287,16 +337,15 @@ def assemble_marginal(
         raise ValueError(
             f"accumulator holds {acc.cycles_done} cycles, caller expected {cycles}"
         )
-    weights = trace_of_vec(acc.grid).real
-    occupied = np.abs(acc.grid).max(axis=-1) > 0.0
-    idx = np.arange(acc.grid.shape[0]) - acc.offset
+    occupied = _occupied(acc)
+    idx = np.arange(acc.grid.shape[1]) - acc.offset
     if observable == "work":
         centers = idx[:, None] * acc.eps_c + idx[None, :] * acc.eps_h
         variance = work_variance(scheme, cycles, sigma)
     else:
         centers = idx * acc.eps_h
         variance = heat_variance(scheme, cycles, sigma)
-    return GaussianMixture1D(centers[occupied], weights[occupied], variance)
+    return GaussianMixture1D(centers[occupied], _weights(acc)[occupied], variance)
 
 
 def resolve_initial_state(
@@ -362,14 +411,13 @@ def joint_via_lattice(
         raise ValueError("joint distribution requires two pointers")
     kernel = build_cycle_kernel(engine, scheme, "work")
     acc = accumulate(kernel, cycles, initial)
-    weights = trace_of_vec(acc.grid).real
-    occupied = np.abs(acc.grid).max(axis=-1) > 0.0
+    occupied = _occupied(acc)
     ia, ib = np.nonzero(occupied)
     a = ia - acc.offset
     b = ib - acc.offset
     centers = np.stack([a * acc.eps_c + b * acc.eps_h, -b * acc.eps_h], axis=1)
     cov = joint_covariance(scheme, cycles, kernel.model.sigma)
-    return GaussianMixture2D(centers, weights[occupied], cov)
+    return GaussianMixture2D(centers, _weights(acc)[occupied], cov)
 
 
 def moment_series(

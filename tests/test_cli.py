@@ -19,6 +19,7 @@ from ottomon.asymptotics import (
 from ottomon.cli import main
 from ottomon.engine import EngineConfig, LandauZenerStroke
 from ottomon.lattice import joint_via_lattice, work_per_cycle_series
+from ottomon.mixtures import GaussianMixture1D
 from ottomon.moments import power_output
 from ottomon.qubit import landau_zener_params
 
@@ -115,6 +116,38 @@ def test_pdf_refuses_a_lattice_over_the_memory_budget(capsys):
     assert code == 2
     assert out == ""
     assert "GiB" in err and "ottomon moments" in err
+
+
+def test_pdf_heat_refuses_a_lattice_over_the_point_budget(capsys):
+    # A heat lattice of this length fits in memory but would run for hours.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "pdf", "--observable", "heat", "--cycles", "100000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "points" in err and "ottomon moments" in err
+
+
+@pytest.mark.parametrize("observable, evaluations", [("work", 2), ("heat", 3)])
+def test_pdf_evaluates_each_distinct_density_once(
+    capsys, monkeypatch, observable, evaluations
+):
+    # RC1 and RC2 share one work mixture, so its density is evaluated once.
+    calls = []
+    density = GaussianMixture1D.density
+
+    def counted(self, x):
+        calls.append(self)
+        return density(self, x)
+
+    monkeypatch.setattr(GaussianMixture1D, "density", counted)
+    code, out, _ = run_cli(capsys, "pdf", "--observable", observable, "--cycles", "3")
+    assert code == 0
+    assert len(calls) == evaluations
+    header, _ = parse_csv(out)
+    assert ("density_rc1" in header) == (observable == "heat")
 
 
 def test_joint_csv_matches_the_enumeration(capsys):

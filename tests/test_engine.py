@@ -14,15 +14,16 @@ from ottomon import (
     build_cycle_superoperator,
 )
 from ottomon.engine import (
+    MAX_SHIFT,
     build_model,
     contact_suppression,
     heat_variance,
     joint_covariance,
     perfect_targets,
     resolve_stroke_params,
+    tilted_cycle_coefficients,
     work_variance,
 )
-from ottomon.lattice import build_cycle_kernel
 from ottomon.oracle import tabulate_cycle_branches
 from ottomon.qubit import StrokeHamiltonian, landau_zener_params
 from ottomon.superop import conjugation
@@ -64,6 +65,19 @@ def grouped_branches(model, branches, scheme, observable) -> dict:
     return groups
 
 
+def coefficient_groups(model, scheme, observable) -> dict:
+    """Tilted-map coefficients keyed by lattice shift: (a, b) for work, and
+    dq = -b for heat, summed over a."""
+    coeffs = tilted_cycle_coefficients(model, scheme)
+    steps = range(-MAX_SHIFT, MAX_SHIFT + 1)
+    if observable == "work":
+        return {
+            (a, b): coeffs[a + MAX_SHIFT, b + MAX_SHIFT] for a in steps for b in steps
+        }
+    heat = coeffs.sum(axis=0)
+    return {-b: heat[b + MAX_SHIFT] for b in steps}
+
+
 def test_tabulation_yields_256_branches(branches) -> None:
     assert len(branches) == 256
     for branch in branches:
@@ -99,27 +113,25 @@ def test_weighted_branch_sums_reproduce_cycle_superoperators(
 
 @pytest.mark.parametrize("scheme", ["RM", "RC2"])
 def test_group_sums_recover_the_weighted_total(model, branches, scheme) -> None:
-    work = build_cycle_kernel(model, scheme, "work")
-    heat = build_cycle_kernel(model, scheme, "heat")
+    work = coefficient_groups(model, scheme, "work")
+    heat = coefficient_groups(model, scheme, "heat")
     if scheme == "RM":
         expected = sum(rm_weight(model, b) * b.superoperator for b in branches)
     else:
         expected = sum(b.superoperator for b in branches)
-    assert_allclose(work.operators.sum(axis=0), expected, atol=1e-13)
-    assert_allclose(heat.operators.sum(axis=0), expected, atol=1e-13)
-    for da, db in work.shifts:
+    assert_allclose(sum(work.values()), expected, atol=1e-13)
+    assert_allclose(sum(heat.values()), expected, atol=1e-13)
+    for da, db in work:
         assert -2 <= da <= 2 and -2 <= db <= 2
-    for dq in heat.shifts:
+    for dq in heat:
         assert -2 <= dq <= 2
 
 
 def test_group_keys_aggregate_consistently(model) -> None:
-    work = build_cycle_kernel(model, "RC2", "work")
-    heat = build_cycle_kernel(model, "RC2", "heat")
-    for dq, matrix in zip(heat.shifts, heat.operators):
-        from_work = sum(
-            m for (da, db), m in zip(work.shifts, work.operators) if -db == dq
-        )
+    work = coefficient_groups(model, "RC2", "work")
+    heat = coefficient_groups(model, "RC2", "heat")
+    for dq, matrix in heat.items():
+        from_work = sum(m for (da, db), m in work.items() if -db == dq)
         assert_allclose(from_work, matrix, atol=1e-13)
 
 
@@ -134,18 +146,15 @@ CROSS_ROUTE_ENGINES = {
 
 @pytest.mark.parametrize("engine", sorted(CROSS_ROUTE_ENGINES))
 def test_kernel_matches_grouped_branch_enumeration(engine) -> None:
-    # The tilted-map kernel against the 256 enumerated branches, each weighted
-    # by the overlap of its mismatched contacts and grouped by lattice shift.
+    # The tilted-map coefficients against the 256 enumerated branches, each
+    # weighted by the overlap of its mismatched contacts and grouped by
+    # lattice shift.
     model = build_model(CROSS_ROUTE_ENGINES[engine])
     branches = tabulate_cycle_branches(model)
     for scheme in ("RM", "RC1", "RC2"):
         for observable in ("work", "heat"):
-            kernel = build_cycle_kernel(model, scheme, observable)
             groups = grouped_branches(model, branches, scheme, observable)
-            got = {
-                (tuple(int(v) for v in s) if observable == "work" else int(s)): op
-                for s, op in zip(kernel.shifts, kernel.operators)
-            }
+            got = coefficient_groups(model, scheme, observable)
             assert set(got) <= set(groups), (scheme, observable)
             for key, expected in groups.items():
                 actual = got.get(key, np.zeros((4, 4)))

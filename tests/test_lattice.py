@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ottomon import EngineConfig
-from ottomon.engine import build_model
+from ottomon import EngineConfig, LandauZenerStroke, PerfectThermo
+from ottomon.engine import MAX_SHIFT, build_model, tilted_cycle_coefficients
 from ottomon.lattice import (
     LATTICE_MEMORY_BUDGET,
+    accumulate,
     advance_cycle,
     build_cycle_kernel,
     fold_initial_state_rc,
@@ -33,7 +34,7 @@ from ottomon.oracle import (
     marginal_rm_work,
     mixture_moments,
 )
-from ottomon.superop import conjugation
+from ottomon.superop import conjugation, trace_of_vec, vec
 
 ORACLE_MARGINALS = {
     ("RM", "work"): marginal_rm_work,
@@ -136,6 +137,103 @@ def test_accumulator_refuses_lattices_over_the_memory_budget() -> None:
     for observable in ("work", "heat"):
         acc = initialize_accumulator(rho, 200, observable, 1.0, 3.7)
         assert acc.capacity == 200
+
+
+def test_accumulator_refuses_runs_over_the_point_budget() -> None:
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    tracemalloc.start()
+    try:
+        # A heat lattice this long fits the memory budget but not the time one.
+        with pytest.raises(ValueError, match="ottomon moments"):
+            initialize_accumulator(rho, 100_000, "heat", 1.0, 3.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # The largest work lattice admitted under the earlier memory-only guard
+    # stays admitted, and the next one is refused.
+    assert initialize_accumulator(rho, 457, "work", 1.0, 3.7).capacity == 457
+    with pytest.raises(ValueError, match="points"):
+        initialize_accumulator(rho, 458, "work", 1.0, 3.7)
+
+
+def test_accumulator_refuses_a_non_hermitian_state(default_config) -> None:
+    rho = np.array([[0.6, 0.2], [0.1, 0.4]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        initialize_accumulator(rho, 1, "work", 1.0, 3.7)
+    kernel = build_cycle_kernel(default_config, "RM", "heat")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        accumulate(kernel, 2, initial=rho)
+
+
+def test_kernel_refuses_a_stroke_that_breaks_hermiticity(default_config) -> None:
+    model = build_model(default_config)
+
+    class PhaseChannel:
+        # X -> exp(0.3i) X keeps the sectors apart but not Hermiticity.
+        def superoperator(self) -> np.ndarray:
+            return np.exp(0.3j) * np.eye(4)
+
+    model.hot_channel = PhaseChannel()
+    for scheme in ("RM", "RC2"):
+        for observable in ("work", "heat"):
+            with pytest.raises(ValueError, match="Hermiticity"):
+                build_cycle_kernel(model, scheme, observable)
+
+
+def grouped_convolution(model, scheme, observable, cycles) -> dict:
+    """Weight table of the earlier lattice advance: the tilted-map
+    coefficients grouped by lattice shift (all-zero groups dropped), each
+    scattering the whole complex grid once per cycle."""
+    coeffs = tilted_cycle_coefficients(model, scheme)
+    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
+    if observable == "work":
+        grid_axes = np.meshgrid(steps, steps, indexing="ij")
+        shifts = np.stack(grid_axes, axis=-1).reshape(-1, 2)
+        operators = coeffs.reshape(-1, 4, 4)
+    else:
+        shifts = steps[:, None]
+        operators = coeffs.sum(axis=0)[::-1]
+    live = np.abs(operators).max(axis=(1, 2)) > 1e-60
+    dims = shifts.shape[1]
+    offset = MAX_SHIFT * cycles
+    grid = np.zeros((2 * offset + 1,) * dims + (4,), dtype=complex)
+    grid[(offset,) * dims] = vec(prepare_initial_state(model, scheme, observable))
+    axes = tuple(range(dims))
+    for _ in range(cycles):
+        # The grid spans every reachable point, so the rolls never wrap
+        # anything but zeros.
+        grid = sum(
+            np.roll(grid @ op.T, tuple(shift), axis=axes)
+            for shift, op in zip(shifts[live], operators[live])
+        )
+    traces = trace_of_vec(grid).real
+    table = {}
+    for index in zip(*np.nonzero(np.abs(grid).max(axis=-1) > 0.0)):
+        key = tuple(int(i) - offset for i in index)
+        table[key if dims == 2 else key[0]] = float(traces[index])
+    return table
+
+
+# The engines of the kernel-versus-enumeration check of the tilted map.
+ADVANCE_ENGINES = {
+    "direct": EngineConfig(),
+    "landau_zener": EngineConfig(stroke=LandauZenerStroke(t1=5.0), sigma=2.0),
+    "perfect_gibbs": EngineConfig(thermo=PerfectThermo(beta_c=0.25, beta_h=0.025)),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ADVANCE_ENGINES))
+def test_contact_advance_matches_the_grouped_convolution(engine) -> None:
+    model = build_model(ADVANCE_ENGINES[engine])
+    for scheme in ("RM", "RC1", "RC2"):
+        for observable in ("work", "heat"):
+            kernel = build_cycle_kernel(model, scheme, observable)
+            got = weight_table(accumulate(kernel, 20))
+            expected = grouped_convolution(model, scheme, observable, 20)
+            assert set(got) == set(expected), (scheme, observable)
+            deviation = max(abs(got[key] - value) for key, value in expected.items())
+            assert deviation <= 1e-14, (scheme, observable, deviation)
 
 
 def test_trace_is_conserved_across_cycles(default_config) -> None:
