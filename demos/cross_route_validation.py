@@ -13,14 +13,20 @@ import numpy as np
 
 from ottomon import EngineConfig, build_model
 from ottomon.asymptotics import initial_state
-from ottomon.lattice import build_cycle_kernel
-from ottomon.oracle import enumerate_branches
+from ottomon.lattice import as_weight_table, build_cycle_kernel
+from ottomon.oracle import enumerate_branches, point_weights
 from ottomon.superop import conjugation
-from ottomon.validation import (
-    compare_weight_tables,
-    run_validation,
-    scaled_branch_weights,
-)
+from ottomon.validation import compare_weight_tables, run_validation
+
+
+def pointer_work_gap(model, rho0) -> float:
+    """Largest one- vs two-pointer work weight gap of the enumeration."""
+    table = enumerate_branches(model, 1, initial=rho0)
+    gap, _ = compare_weight_tables(
+        as_weight_table(*point_weights(table, "RC1", "work")),
+        as_weight_table(*point_weights(table, "RC2", "work")),
+    )
+    return gap
 
 
 def main() -> None:
@@ -39,11 +45,7 @@ def main() -> None:
     control = EngineConfig(sigma=2.0)
     model = build_model(control)
     rho0 = initial_state(control, model)
-    branches = enumerate_branches(model, 1, initial=rho0, prune=0.0)
-    gap, _ = compare_weight_tables(
-        scaled_branch_weights(branches, "RC1", "work"),
-        scaled_branch_weights(branches, "RC2", "work"),
-    )
+    gap = pointer_work_gap(model, rho0)
     print(f"  honest channels: one- vs two-pointer work gap = {gap:.3e}")
 
     angle = 0.4
@@ -57,11 +59,7 @@ def main() -> None:
             return conjugation(rotation)
 
     model.hot_channel = SectorMixingChannel()
-    branches = enumerate_branches(model, 1, initial=rho0, prune=0.0)
-    gap, _ = compare_weight_tables(
-        scaled_branch_weights(branches, "RC1", "work"),
-        scaled_branch_weights(branches, "RC2", "work"),
-    )
+    gap = pointer_work_gap(model, rho0)
     print(f"  sector-mixing channel: gap = {gap:.3e} (equivalence broken)")
     try:
         build_cycle_kernel(model, "RC2", "work")

@@ -12,8 +12,9 @@ import numpy as np
 
 from ottomon import EngineConfig, MomentSet, build_model, efficiency, reliability
 from ottomon.asymptotics import initial_state
+from ottomon.lattice import mixture_from_points
 from ottomon.moments import analytic_moments_lindblad
-from ottomon.oracle import joint_pdf_rc, joint_pdf_rm, mixture_moments
+from ottomon.oracle import enumerate_branches, point_weights
 
 
 def main() -> None:
@@ -23,10 +24,15 @@ def main() -> None:
     rho_diag = np.diag(np.diag(rho0))
 
     analytic = analytic_moments_lindblad(model, rho_diag)
-    numeric = {
-        "RM": MomentSet(*mixture_moments(joint_pdf_rm(model, 1, initial=rho_diag))),
-        "RC": MomentSet(*mixture_moments(joint_pdf_rc(model, 1, initial=rho_diag))),
-    }
+    table = enumerate_branches(model, 1, initial=rho_diag)
+    eps = (config.eps_c, config.eps_h)
+    numeric = {}
+    for kind, scheme in (("RM", "RM"), ("RC", "RC2")):
+        points, weights = point_weights(table, scheme, "joint")
+        mix = mixture_from_points(
+            points, weights, scheme, "joint", 1, config.sigma, *eps
+        )
+        numeric[kind] = MomentSet(*mix.moments())
 
     print("Single cycle from the diagonal part of the invariant state\n")
     for kind in ("RM", "RC"):

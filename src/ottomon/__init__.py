@@ -45,6 +45,7 @@ from .engine import (
 from .lattice import (
     joint_via_lattice,
     marginal_via_lattice,
+    mixture_from_points,
     moment_series,
     work_per_cycle_series,
 )
@@ -57,16 +58,7 @@ from .moments import (
     power_output,
     reliability,
 )
-from .oracle import (
-    enumerate_branches,
-    joint_pdf_rc,
-    joint_pdf_rm,
-    marginal_rc_heat,
-    marginal_rc_work,
-    marginal_rm_heat,
-    marginal_rm_work,
-    mixture_moments,
-)
+from .oracle import BranchTable, enumerate_branches, point_weights
 from .qubit import (
     StrokeHamiltonian,
     WorkStrokeParams,
@@ -88,6 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BathSpec",
+    "BranchTable",
     "CheckResult",
     "ConfigError",
     "CycleSuperoperator",
@@ -129,19 +122,14 @@ __all__ = [
     "initial_state",
     "invariant_state",
     "joint_covariance",
-    "joint_pdf_rc",
-    "joint_pdf_rm",
     "joint_via_lattice",
     "landau_zener_params",
     "load_engine_config",
-    "marginal_rc_heat",
-    "marginal_rc_work",
-    "marginal_rm_heat",
-    "marginal_rm_work",
     "marginal_via_lattice",
-    "mixture_moments",
+    "mixture_from_points",
     "moment_series",
     "parse_config_text",
+    "point_weights",
     "power_output",
     "reliability",
     "run_validation",

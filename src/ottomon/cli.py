@@ -42,6 +42,7 @@ from .lattice import (
     assemble_marginal,
     build_cycle_kernel,
     marginal_via_lattice,
+    mixture_from_points,
     moment_series,
 )
 from .mixtures import prune_components
@@ -53,7 +54,7 @@ from .moments import (
     power_output,
     reliability,
 )
-from .oracle import ORACLE_CYCLE_LIMIT, joint_pdf_rc, joint_pdf_rm
+from .oracle import ORACLE_CYCLE_LIMIT, enumerate_branches, point_weights
 from .qubit import landau_zener_params
 from .validation import run_validation
 
@@ -232,8 +233,13 @@ def cmd_joint(args) -> int:
         )
     if config.scheme == "RC1":
         raise ConfigError("joint distribution requires two pointers (RM or RC2)")
-    build = joint_pdf_rm if config.scheme == "RM" else joint_pdf_rc
-    mix = build(config, config.cycles)
+    table = enumerate_branches(config, config.cycles)
+    model = table.model
+    points, weights = point_weights(table, config.scheme, "joint")
+    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
+    mix = mixture_from_points(
+        points, weights, config.scheme, "joint", config.cycles, model.sigma, *eps
+    )
     order = np.lexsort((mix.centers[:, 1], mix.centers[:, 0]))
     if args.format == "json":
         payload = {

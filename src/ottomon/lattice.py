@@ -24,6 +24,7 @@ from .engine import (
     SCHEMES,
     apply_contact,
     build_model,
+    contact_suppression,
     cycle_contacts,
     heat_variance,
     joint_covariance,
@@ -79,9 +80,8 @@ def fold_initial_state_rc(rho: np.ndarray, sigma: float, eps_c: float) -> np.nda
     leaving only the overlap factor of the very first contact; it acts on the
     initial state as a partial dephasing in the cold energy basis.
     """
-    rho = np.asarray(rho, dtype=complex)
-    factor = 0.0 if sigma == 0.0 else float(np.exp(-(eps_c**2) / (2.0 * sigma**2)))
-    folded = rho.copy()
+    factor = contact_suppression(eps_c, sigma)
+    folded = np.array(rho, dtype=complex)
     folded[0, 1] *= factor
     folded[1, 0] *= factor
     return folded
@@ -307,20 +307,67 @@ def total_trace(acc: LatticeAccumulator) -> complex:
     return complex(_weights(acc).sum())
 
 
+def _points(
+    acc: LatticeAccumulator, tol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer points and trace weights of the occupied lattice entries.
+
+    Work points are rows (a, b) in row-major order; heat points are the
+    heat records.
+    """
+    occupied = _occupied(acc, tol)
+    points = np.argwhere(occupied) - acc.offset
+    if acc.observable == "heat":
+        points = points[:, 0]
+    return points, _weights(acc)[occupied]
+
+
+def as_weight_table(
+    points: np.ndarray, weights: np.ndarray
+) -> dict[tuple[int, int], float] | dict[int, float]:
+    """Integer lattice points and their weights as a point -> weight dict."""
+    keys = map(tuple, points.tolist()) if points.ndim == 2 else points.tolist()
+    return dict(zip(keys, weights.tolist()))
+
+
 def weight_table(
     acc: LatticeAccumulator, tol: float = 0.0
 ) -> dict[tuple[int, int], float] | dict[int, float]:
     """Real trace weight per occupied integer lattice point."""
-    traces = _weights(acc)
-    occupied = np.nonzero(_occupied(acc, tol))
-    out: dict = {}
-    if acc.observable == "work":
-        for ia, ib in zip(*occupied):
-            out[(int(ia - acc.offset), int(ib - acc.offset))] = float(traces[ia, ib])
-    else:
-        for (ik,) in zip(*occupied):
-            out[int(ik - acc.offset)] = float(traces[ik])
-    return out
+    return as_weight_table(*_points(acc, tol))
+
+
+def mixture_from_points(
+    points: np.ndarray,
+    weights: np.ndarray,
+    scheme: str,
+    observable: str,
+    cycles: int,
+    sigma: float,
+    eps_c: float,
+    eps_h: float,
+) -> GaussianMixture1D | GaussianMixture2D:
+    """Gaussian mixture over integer lattice points and their weights.
+
+    Work and joint points are rows (a, b), with work a*eps_c + b*eps_h and
+    heat -b*eps_h; heat points are heat records k, with heat k*eps_h.  The
+    components share the scheme's pointer variance (covariance for the
+    joint) after the given number of cycles.
+    """
+    if observable == "heat":
+        return GaussianMixture1D(
+            points * eps_h, weights, heat_variance(scheme, cycles, sigma)
+        )
+    a, b = points[:, 0], points[:, 1]
+    work = a * eps_c + b * eps_h
+    if observable == "work":
+        return GaussianMixture1D(work, weights, work_variance(scheme, cycles, sigma))
+    if observable == "joint":
+        centers = np.stack([work, -b * eps_h], axis=1)
+        return GaussianMixture2D(
+            centers, weights, joint_covariance(scheme, cycles, sigma)
+        )
+    raise ValueError(f"unknown observable {observable!r}")
 
 
 def assemble_marginal(
@@ -337,15 +384,10 @@ def assemble_marginal(
         raise ValueError(
             f"accumulator holds {acc.cycles_done} cycles, caller expected {cycles}"
         )
-    occupied = _occupied(acc)
-    idx = np.arange(acc.grid.shape[1]) - acc.offset
-    if observable == "work":
-        centers = idx[:, None] * acc.eps_c + idx[None, :] * acc.eps_h
-        variance = work_variance(scheme, cycles, sigma)
-    else:
-        centers = idx * acc.eps_h
-        variance = heat_variance(scheme, cycles, sigma)
-    return GaussianMixture1D(centers[occupied], _weights(acc)[occupied], variance)
+    points, weights = _points(acc)
+    return mixture_from_points(
+        points, weights, scheme, observable, cycles, sigma, acc.eps_c, acc.eps_h
+    )
 
 
 def resolve_initial_state(
@@ -411,13 +453,11 @@ def joint_via_lattice(
         raise ValueError("joint distribution requires two pointers")
     kernel = build_cycle_kernel(engine, scheme, "work")
     acc = accumulate(kernel, cycles, initial)
-    occupied = _occupied(acc)
-    ia, ib = np.nonzero(occupied)
-    a = ia - acc.offset
-    b = ib - acc.offset
-    centers = np.stack([a * acc.eps_c + b * acc.eps_h, -b * acc.eps_h], axis=1)
-    cov = joint_covariance(scheme, cycles, kernel.model.sigma)
-    return GaussianMixture2D(centers, _weights(acc)[occupied], cov)
+    points, weights = _points(acc)
+    sigma = kernel.model.sigma
+    return mixture_from_points(
+        points, weights, scheme, "joint", cycles, sigma, acc.eps_c, acc.eps_h
+    )
 
 
 def moment_series(

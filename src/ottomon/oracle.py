@@ -1,11 +1,12 @@
 """Brute-force enumeration of all contact-outcome branch pairs.
 
 Cost grows as 256^N, so this module is the exactness reference for small
-cycle counts: it assembles joint (work, heat) distributions for both
-monitoring schemes directly from the definition, without the lattice
-reduction.  The accumulated-pointer suppression factors are computed from the
-aggregate energy-record differences of each full branch chain, which is what
-the lattice module's initial-state fold must reproduce.
+cycle counts: it weights every branch pair of both monitoring schemes
+directly from the definition, without the lattice reduction, and sums the
+weights per integer lattice point.  The accumulated-pointer suppression
+factors are computed from the aggregate energy-record differences of each
+full branch chain, which is what the lattice module's initial-state fold
+must reproduce.
 """
 from __future__ import annotations
 
@@ -15,43 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import initial_state
-from .engine import (
-    EngineConfig,
-    EngineModel,
-    build_model,
-    joint_covariance,
-    heat_variance,
-    work_variance,
-)
-from .mixtures import GaussianMixture1D, GaussianMixture2D, collapse_duplicates
+from .engine import EngineConfig, EngineModel, build_model
 from .qubit import projector
 from .superop import sandwich, vec
 
 ORACLE_CYCLE_LIMIT = 3
-PRUNE_TOL = 1e-15
 _EXPANSION_CHUNK = 2**16
-
-
-@dataclass(frozen=True)
-class ContactPoint:
-    """Bookkeeping signs of one projective energy contact."""
-
-    work_sign: int
-    heat_sign: int
-    label: str
-
-
-def contact_schedule(cycles: int) -> list[ContactPoint]:
-    """Work and heat signs plus stroke label for contacts 1..4N."""
-    if cycles < 1:
-        raise ValueError("cycles must be at least 1")
-    per_cycle = [
-        ContactPoint(-1, 0, "cold"),
-        ContactPoint(+1, -1, "hot"),
-        ContactPoint(-1, +1, "hot"),
-        ContactPoint(+1, 0, "cold"),
-    ]
-    return per_cycle * cycles
 
 
 @dataclass(frozen=True)
@@ -120,28 +90,6 @@ def tabulate_cycle_branches(model: EngineModel) -> list[CycleBranch]:
     return branches
 
 
-@dataclass(frozen=True)
-class BranchCoefficient:
-    """Trace coefficient and readout data of one branch pair.
-
-    ``suppression_rc`` is the product of the work and heat pointer-overlap
-    factors, which are also exposed separately for one-pointer marginals.
-    The integer coordinates locate the centers on the energy lattice:
-    work = a*eps_c + b*eps_h with (a, b) = work_coords, heat = k*eps_h with
-    k = heat_coord.
-    """
-
-    value: complex
-    work_center: float
-    heat_center: float
-    suppression_rm: float
-    suppression_rc: float
-    suppression_rc_work: float
-    suppression_rc_heat: float
-    work_coords: tuple[int, int]
-    heat_coord: int
-
-
 @dataclass
 class _BranchArrays:
     ops: np.ndarray
@@ -151,22 +99,6 @@ class _BranchArrays:
     b_diff: np.ndarray
     n_cold: np.ndarray
     n_hot: np.ndarray
-
-
-def _check_cycles(cycles: int) -> None:
-    if not 1 <= cycles <= ORACLE_CYCLE_LIMIT:
-        raise ValueError(
-            f"enumeration supports 1..{ORACLE_CYCLE_LIMIT} cycles, got {cycles}"
-        )
-
-
-def _resolve(
-    engine: EngineConfig | EngineModel, initial: np.ndarray | None
-) -> tuple[EngineModel, np.ndarray]:
-    model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    if initial is None:
-        initial = initial_state(model.config, model)
-    return model, np.asarray(initial, dtype=complex)
 
 
 def _enumerate_arrays(
@@ -246,225 +178,82 @@ def _suppressions(
     return supp_rm, _gaussian_overlap(delta_w, sigma), _gaussian_overlap(delta_q, sigma)
 
 
+@dataclass(frozen=True)
+class BranchTable:
+    """Every live branch pair after some cycles, one array entry each.
+
+    A pair sits at the integer work point (a, b), work a*eps_c + b*eps_h and
+    heat -b*eps_h, and carries the complex trace of its branch operator and
+    the factors that suppress it under per-stroke readout and under the
+    accumulated work and heat pointers.
+    """
+
+    model: EngineModel
+    a: np.ndarray
+    b: np.ndarray
+    values: np.ndarray
+    suppression_rm: np.ndarray
+    suppression_rc_work: np.ndarray
+    suppression_rc_heat: np.ndarray
+
+
 def enumerate_branches(
     engine: EngineConfig | EngineModel,
     cycles: int,
     initial: np.ndarray | None = None,
-    prune: float = PRUNE_TOL,
-) -> list[BranchCoefficient]:
-    """All branch coefficients after the given number of cycles.
-
-    Branches whose trace coefficient is smaller than ``prune`` in modulus are
-    dropped; pass ``prune=0`` to keep every pair.
-    """
-    _check_cycles(cycles)
-    model, rho = _resolve(engine, initial)
-    state = _enumerate_arrays(model, cycles, rho)
-    values = state.ops[:, 0] + state.ops[:, 3]
-    keep = np.abs(values) >= prune if prune > 0 else slice(None)
-    supp_rm, supp_w, supp_q = _suppressions(state, model)
-    eps_c = model.h_cold.epsilon
-    eps_h = model.h_hot.epsilon
-    out = []
-    for idx in np.arange(values.shape[0])[keep]:
-        out.append(
-            BranchCoefficient(
-                value=complex(values[idx]),
-                work_center=float(state.a[idx] * eps_c + state.b[idx] * eps_h),
-                heat_center=float(-state.b[idx] * eps_h),
-                suppression_rm=float(supp_rm[idx]),
-                suppression_rc=float(supp_w[idx] * supp_q[idx]),
-                suppression_rc_work=float(supp_w[idx]),
-                suppression_rc_heat=float(supp_q[idx]),
-                work_coords=(int(state.a[idx]), int(state.b[idx])),
-                heat_coord=int(-state.b[idx]),
-            )
+) -> BranchTable:
+    """The branch table of the configured (or given) initial state."""
+    if not 1 <= cycles <= ORACLE_CYCLE_LIMIT:
+        raise ValueError(
+            f"enumeration supports 1..{ORACLE_CYCLE_LIMIT} cycles, got {cycles}"
         )
-    return out
+    model = engine if isinstance(engine, EngineModel) else build_model(engine)
+    if initial is None:
+        initial = initial_state(model.config, model)
+    state = _enumerate_arrays(model, cycles, np.asarray(initial, dtype=complex))
+    values = state.ops[:, 0] + state.ops[:, 3]
+    return BranchTable(model, state.a, state.b, values, *_suppressions(state, model))
 
 
-def _weighted(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
+def point_weights(
+    table: BranchTable,
     scheme: str,
     observable: str,
-    initial: np.ndarray | None,
-) -> tuple[_BranchArrays, np.ndarray, EngineModel]:
-    """Branch arrays plus the scheme's per-branch weights.
+    suppression_scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real mixture weight per integer lattice point of one readout.
 
-    The two-pointer scheme always carries both overlap factors (the traced
-    out pointer still decoheres the record); the one-pointer scheme carries
-    only the factor of the observable its pointer accumulates.
+    Work and joint readouts sum the branch pairs per work point (a, b),
+    returned as rows; heat readouts per heat record -b.  The two-pointer
+    scheme always carries both overlap factors (the traced-out pointer still
+    decoheres the record); the one-pointer scheme carries only the factor of
+    the observable its pointer accumulates.  ``suppression_scale`` raises
+    every factor to that power, which only a negative control wants.
     """
-    _check_cycles(cycles)
-    model, rho = _resolve(engine, initial)
-    state = _enumerate_arrays(model, cycles, rho)
-    values = state.ops[:, 0] + state.ops[:, 3]
-    supp_rm, supp_w, supp_q = _suppressions(state, model)
+    if observable not in ("work", "heat", "joint"):
+        raise ValueError(f"unknown observable {observable!r}")
     if scheme == "RM":
-        weights = values * supp_rm
+        factors = (table.suppression_rm,)
     elif scheme == "RC2":
-        weights = values * supp_w * supp_q
+        factors = (table.suppression_rc_work, table.suppression_rc_heat)
     elif scheme == "RC1":
         if observable == "joint":
             raise ValueError("joint distribution requires two pointers")
-        weights = values * (supp_w if observable == "work" else supp_q)
+        factors = (
+            table.suppression_rc_work
+            if observable == "work"
+            else table.suppression_rc_heat,
+        )
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return state, weights, model
-
-
-def joint_pdf_rm(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
-    initial: np.ndarray | None = None,
-) -> GaussianMixture2D:
-    """Exact joint (work, heat) mixture for per-stroke readout."""
-    state, weights, model = _weighted(engine, cycles, "RM", "joint", initial)
-    centers, merged = _collapse_joint(state, weights, model)
-    cov = joint_covariance("RM", cycles, model.sigma)
-    return GaussianMixture2D(centers, merged, cov)
-
-
-def joint_pdf_rc(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
-    initial: np.ndarray | None = None,
-) -> GaussianMixture2D:
-    """Exact joint (work, heat) mixture for two accumulating pointers."""
-    state, weights, model = _weighted(engine, cycles, "RC2", "joint", initial)
-    centers, merged = _collapse_joint(state, weights, model)
-    cov = joint_covariance("RC2", cycles, model.sigma)
-    return GaussianMixture2D(centers, merged, cov)
-
-
-def _collapse_joint(
-    state: _BranchArrays, weights: np.ndarray, model: EngineModel
-) -> tuple[np.ndarray, np.ndarray]:
-    keys = np.stack([state.a, state.b], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0], dtype=complex)
+    weights = table.values
+    for factor in factors:
+        weights = weights * factor**suppression_scale
+    if observable == "heat":
+        points, inverse = np.unique(-table.b, return_inverse=True)
+    else:
+        keys = np.stack([table.a, table.b], axis=1)
+        points, inverse = np.unique(keys, axis=0, return_inverse=True)
+    merged = np.zeros(points.shape[0], dtype=complex)
     np.add.at(merged, inverse, weights)
-    eps_c = model.h_cold.epsilon
-    eps_h = model.h_hot.epsilon
-    centers = np.stack(
-        [uniq[:, 0] * eps_c + uniq[:, 1] * eps_h, -uniq[:, 1] * eps_h], axis=1
-    )
-    return centers, merged.real
-
-
-def _collapse_1d(
-    keys: np.ndarray, weights: np.ndarray, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    merged = np.zeros(uniq.shape[0], dtype=complex)
-    np.add.at(merged, inverse, weights)
-    return uniq * scale, merged.real
-
-
-def grouped_work_weights(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
-    scheme: str,
-    initial: np.ndarray | None = None,
-) -> dict[tuple[int, int], float]:
-    """Real mixture weight per integer work-lattice point (a, b)."""
-    state, weights, _ = _weighted(engine, cycles, scheme, "work", initial)
-    keys = np.stack([state.a, state.b], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0], dtype=complex)
-    np.add.at(merged, inverse, weights)
-    return {
-        (int(pt[0]), int(pt[1])): float(w.real) for pt, w in zip(uniq, merged)
-    }
-
-
-def grouped_heat_weights(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
-    scheme: str,
-    initial: np.ndarray | None = None,
-) -> dict[int, float]:
-    """Real mixture weight per integer heat-lattice point."""
-    state, weights, _ = _weighted(engine, cycles, scheme, "heat", initial)
-    keys = -state.b
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    merged = np.zeros(uniq.shape[0], dtype=complex)
-    np.add.at(merged, inverse, weights)
-    return {int(k): float(w.real) for k, w in zip(uniq, merged)}
-
-
-def marginal_rm_work(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
-    initial: np.ndarray | None = None,
-) -> GaussianMixture1D:
-    state, weights, model = _weighted(engine, cycles, "RM", "work", initial)
-    eps_c = model.h_cold.epsilon
-    eps_h = model.h_hot.epsilon
-    values = state.a * eps_c + state.b * eps_h
-    centers, merged = collapse_duplicates(values, weights.real)
-    return GaussianMixture1D(centers, merged, work_variance("RM", cycles, model.sigma))
-
-
-def marginal_rm_heat(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
-    initial: np.ndarray | None = None,
-) -> GaussianMixture1D:
-    state, weights, model = _weighted(engine, cycles, "RM", "heat", initial)
-    centers, merged = _collapse_1d(-state.b, weights, model.h_hot.epsilon)
-    return GaussianMixture1D(centers, merged, heat_variance("RM", cycles, model.sigma))
-
-
-def marginal_rc_work(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
-    pointers: int = 2,
-    initial: np.ndarray | None = None,
-) -> GaussianMixture1D:
-    """Accumulated-pointer work marginal with one or two pointers.
-
-    With a single pointer the heat record is never produced, so only the work
-    overlap factor suppresses interference terms; with two pointers the traced
-    out heat pointer contributes its own overlap factor.
-    """
-    if pointers not in (1, 2):
-        raise ValueError("pointers must be 1 or 2")
-    scheme = "RC2" if pointers == 2 else "RC1"
-    state, weights, model = _weighted(engine, cycles, scheme, "work", initial)
-    eps_c = model.h_cold.epsilon
-    eps_h = model.h_hot.epsilon
-    values = state.a * eps_c + state.b * eps_h
-    centers, merged = collapse_duplicates(values, weights.real)
-    return GaussianMixture1D(
-        centers, merged, work_variance(scheme, cycles, model.sigma)
-    )
-
-
-def marginal_rc_heat(
-    engine: EngineConfig | EngineModel,
-    cycles: int,
-    pointers: int = 2,
-    initial: np.ndarray | None = None,
-) -> GaussianMixture1D:
-    """Accumulated-pointer heat marginal with one or two pointers."""
-    if pointers not in (1, 2):
-        raise ValueError("pointers must be 1 or 2")
-    scheme = "RC2" if pointers == 2 else "RC1"
-    state, weights, model = _weighted(engine, cycles, scheme, "heat", initial)
-    centers, merged = _collapse_1d(-state.b, weights, model.h_hot.epsilon)
-    return GaussianMixture1D(
-        centers, merged, heat_variance(scheme, cycles, model.sigma)
-    )
-
-
-def mixture_moments(
-    mix: GaussianMixture1D | GaussianMixture2D,
-) -> tuple[float, ...]:
-    """Moments of an assembled mixture.
-
-    Joint mixtures yield (<W>, <Q>, <W^2>, <Q^2>, <WQ>); one-dimensional
-    mixtures yield (mean, second moment) of their single observable.
-    """
-    return mix.moments()
+    return points, merged.real

@@ -33,18 +33,16 @@ from .engine import (
 from .lattice import (
     OBSERVABLES,
     accumulate,
+    as_weight_table,
     build_cycle_kernel,
     marginal_via_lattice,
+    mixture_from_points,
     moment_series,
     require_sector_separation,
     weight_table,
 )
-from .moments import (
-    MomentSet,
-    analytic_moments_lindblad,
-    perfect_readout_moments,
-)
-from .oracle import BranchCoefficient, enumerate_branches, grouped_work_weights
+from .moments import analytic_moments_lindblad, perfect_readout_moments
+from .oracle import enumerate_branches, point_weights
 from .superop import unvec, vec
 
 WEIGHT_TOL = 1e-10
@@ -118,42 +116,6 @@ def _compare(
 ) -> CheckResult:
     status = "pass" if deviation <= tolerance else "fail"
     return CheckResult(name, status, float(deviation), tolerance, detail)
-
-
-def _branch_suppression(
-    branch: BranchCoefficient, scheme: str, observable: str
-) -> float:
-    if scheme == "RM":
-        return branch.suppression_rm
-    if scheme == "RC2":
-        return branch.suppression_rc
-    return (
-        branch.suppression_rc_work
-        if observable == "work"
-        else branch.suppression_rc_heat
-    )
-
-
-def scaled_branch_weights(
-    branches: list[BranchCoefficient],
-    scheme: str,
-    observable: str,
-    scale: float = 1.0,
-) -> dict:
-    """Collapse enumerated branches to lattice-point weights.
-
-    This is a deliberately independent re-weighting of the enumeration output
-    used only for cross-checks; ``scale`` exponentiates every suppression
-    factor and exists solely so the negative-control hook can knock the two
-    routes out of agreement.
-    """
-    out: dict = {}
-    for branch in branches:
-        supp = _branch_suppression(branch, scheme, observable)
-        weight = (branch.value * supp**scale).real
-        key = branch.work_coords if observable == "work" else branch.heat_coord
-        out[key] = out.get(key, 0.0) + weight
-    return out
 
 
 def _sector_skip_reason(model: EngineModel) -> str | None:
@@ -231,14 +193,16 @@ def _check_oracle_vs_lattice(
     results = []
     ns = sorted({1, min(cycles, 2)})
     for n in ns:
-        branches = enumerate_branches(model, n, initial=rho0, prune=0.0)
+        table = enumerate_branches(model, n, initial=rho0)
         for scheme in SCHEMES:
             for observable in OBSERVABLES:
                 name = f"enumeration_vs_lattice_{scheme.lower()}_{observable}_n{n}"
                 if scheme != "RM" and rc_skip:
                     results.append(CheckResult(name, "skip", detail=rc_skip))
                     continue
-                reference = scaled_branch_weights(branches, scheme, observable, scale)
+                reference = as_weight_table(
+                    *point_weights(table, scheme, observable, scale)
+                )
                 kernel = build_cycle_kernel(model, scheme, observable)
                 candidate = weight_table(accumulate(kernel, n, rho0))
                 deviation, detail = compare_weight_tables(reference, candidate)
@@ -246,18 +210,6 @@ def _check_oracle_vs_lattice(
                 results.append(
                     CheckResult(name, status, deviation, WEIGHT_TOL, detail)
                 )
-        if scale == 1.0:
-            reweighed = scaled_branch_weights(branches, "RM", "work", 1.0)
-            direct = grouped_work_weights(model, n, "RM", initial=rho0)
-            deviation, _ = compare_weight_tables(direct, reweighed)
-            results.append(
-                _compare(
-                    f"reweighting_selfcheck_n{n}",
-                    deviation,
-                    1e-14,
-                    "validation-local weighting equals the enumeration module",
-                )
-            )
     return results
 
 
@@ -271,50 +223,39 @@ def _moment_deviation(numeric: tuple[float, ...], analytic: tuple[float, ...]) -
 def _check_analytic_moments(
     model: EngineModel, rho0: np.ndarray
 ) -> list[CheckResult]:
-    from .oracle import joint_pdf_rc, joint_pdf_rm
-
-    config = model.config
-    results = []
-    if isinstance(config.thermo, LindbladThermo):
-        rho_diag = np.diag(np.diag(rho0))
-        expected = analytic_moments_lindblad(model, rho_diag)
-        numeric = {
-            "RM": MomentSet(*joint_pdf_rm(model, 1, initial=rho_diag).moments()),
-            "RC": MomentSet(*joint_pdf_rc(model, 1, initial=rho_diag).moments()),
-        }
+    """Single-cycle enumerated joint moments against the closed forms."""
+    if isinstance(model.config.thermo, LindbladThermo):
+        initial = np.diag(np.diag(rho0))
+        expected = analytic_moments_lindblad(model, initial)
+        tolerance = MOMENT_TOL
         detail = "single cycle, diagonal part of the initial state"
-        for key in ("RM", "RC"):
-            results.append(
-                _compare(
-                    f"analytic_moments_{key.lower()}",
-                    _moment_deviation(numeric[key], expected[key]),
-                    MOMENT_TOL,
-                    detail,
+    else:
+        expected = perfect_readout_moments(model)
+        if expected is None:
+            return [
+                CheckResult(
+                    "analytic_moments",
+                    "skip",
+                    detail="closed form assumes diagonal thermal targets",
                 )
-            )
-        return results
-    expected = perfect_readout_moments(model)
-    if expected is None:
-        results.append(
-            CheckResult(
-                "analytic_moments",
-                "skip",
-                detail="closed form assumes diagonal thermal targets",
-            )
+            ]
+        initial = model.cold_channel.target.matrix
+        tolerance = 1e-10
+        detail = "single cycle started from the cold target"
+    table = enumerate_branches(model, 1, initial=initial)
+    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
+    results = []
+    for key, scheme in (("RM", "RM"), ("RC", "RC2")):
+        points, weights = point_weights(table, scheme, "joint")
+        mix = mixture_from_points(
+            points, weights, scheme, "joint", 1, model.sigma, *eps
         )
-        return results
-    rho_t = model.cold_channel.target.matrix
-    numeric = {
-        "RM": MomentSet(*joint_pdf_rm(model, 1, initial=rho_t).moments()),
-        "RC": MomentSet(*joint_pdf_rc(model, 1, initial=rho_t).moments()),
-    }
-    for key in ("RM", "RC"):
         results.append(
             _compare(
                 f"analytic_moments_{key.lower()}",
-                _moment_deviation(numeric[key], expected[key]),
-                1e-10,
-                "single cycle started from the cold target",
+                _moment_deviation(mix.moments(), expected[key]),
+                tolerance,
+                detail,
             )
         )
     return results

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ottomon import DirectStroke, EngineConfig, PerfectThermo
+from ottomon.lattice import as_weight_table, mixture_from_points
+from ottomon.oracle import enumerate_branches, point_weights
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,20 @@ def random_density_matrices(rng: np.random.Generator, count: int) -> np.ndarray:
     rho = a @ a.conj().transpose(0, 2, 1)
     trace = np.trace(rho, axis1=1, axis2=2).real
     return rho / trace[:, None, None]
+
+
+def enumerated_weights(engine, scheme, observable, cycles, initial=None) -> dict:
+    """Point -> weight table of one readout of the exhaustive enumeration."""
+    table = enumerate_branches(engine, cycles, initial)
+    return as_weight_table(*point_weights(table, scheme, observable))
+
+
+def enumerated_mixture(engine, scheme, observable, cycles, initial=None):
+    """Mixture of one readout (work, heat or joint) of the enumeration."""
+    table = enumerate_branches(engine, cycles, initial)
+    model = table.model
+    points, weights = point_weights(table, scheme, observable)
+    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
+    return mixture_from_points(
+        points, weights, scheme, observable, cycles, model.sigma, *eps
+    )

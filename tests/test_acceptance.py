@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_density_matrices
+from conftest import enumerated_mixture, random_density_matrices
 from ottomon.asymptotics import (
     asymptotic_work_heat,
     build_cycle_superoperator,
@@ -34,6 +34,7 @@ from ottomon.engine import (
 from ottomon.lattice import (
     OBSERVABLES,
     advance_cycle,
+    as_weight_table,
     build_cycle_kernel,
     initialize_accumulator,
     joint_via_lattice,
@@ -48,16 +49,11 @@ from ottomon.moments import (
     analytic_moments_perfect,
     efficiency,
 )
-from ottomon.oracle import (
-    enumerate_branches,
-    joint_pdf_rc,
-    joint_pdf_rm,
-    mixture_moments,
-)
+from ottomon.oracle import enumerate_branches, point_weights
 from ottomon.qubit import StrokeHamiltonian
 from ottomon.superop import conjugation
 from ottomon.thermal import BathSpec, generalized_gibbs
-from ottomon.validation import compare_weight_tables, scaled_branch_weights
+from ottomon.validation import compare_weight_tables
 
 # Work-lattice weights of the adiabatic perfectly-thermalized engine, frozen
 # from the exhaustive enumeration (identical for per-stroke and accumulated
@@ -112,8 +108,9 @@ def test_criterion_02_adiabatic_engine_efficiency(adiabatic_perfect_config):
     start = time.perf_counter()
     model = build_model(adiabatic_perfect_config)
     rho0 = initial_state(adiabatic_perfect_config, model)
-    for name, build in (("RM", joint_pdf_rm), ("RC", joint_pdf_rc)):
-        moments = MomentSet(*mixture_moments(build(model, 1, initial=rho0)))
+    for name, scheme in (("RM", "RM"), ("RC", "RC2")):
+        mix = enumerated_mixture(model, scheme, "joint", 1, initial=rho0)
+        moments = MomentSet(*mix.moments())
         eta = efficiency(moments)
         assert eta == pytest.approx(1.0 - 1.0 / 3.7, abs=1e-9), name
         assert eta == pytest.approx(0.729730, abs=5e-7), name
@@ -125,10 +122,10 @@ def test_criterion_03_lattice_recursion_matches_enumeration(default_config):
     model = build_model(default_config)
     rho0 = initial_state(default_config, model)
     for cycles in (1, 2):
-        branches = enumerate_branches(model, cycles, initial=rho0, prune=0.0)
+        table = enumerate_branches(model, cycles, initial=rho0)
         for scheme in SCHEMES:
             for observable in OBSERVABLES:
-                reference = scaled_branch_weights(branches, scheme, observable)
+                reference = as_weight_table(*point_weights(table, scheme, observable))
                 candidate = _lattice_weights(
                     model, scheme, observable, cycles, rho0
                 )
@@ -154,8 +151,9 @@ def test_criterion_04_closed_form_moment_regression(default_config):
     chain = np.array(analytic_moments_perfect(config))
     model = build_model(config)
     target_cold = model.cold_channel.target.matrix
-    for name, build in (("RM", joint_pdf_rm), ("RC", joint_pdf_rc)):
-        numeric = np.array(mixture_moments(build(model, 1, initial=target_cold)))
+    for name, scheme in (("RM", "RM"), ("RC", "RC2")):
+        mix = enumerated_mixture(model, scheme, "joint", 1, initial=target_cold)
+        numeric = np.array(mix.moments())
         assert_allclose(numeric, chain, atol=1e-10, err_msg=name)
 
     # Dissipative engine at finite pointer width, diagonal initial state: the
@@ -163,8 +161,9 @@ def test_criterion_04_closed_form_moment_regression(default_config):
     model_l = build_model(default_config)
     rho_diag = np.diag(np.diag(initial_state(default_config, model_l)))
     analytic = analytic_moments_lindblad(model_l, rho_diag)
-    for name, build in (("RM", joint_pdf_rm), ("RC", joint_pdf_rc)):
-        numeric = np.array(mixture_moments(build(model_l, 1, initial=rho_diag)))
+    for name, scheme in (("RM", "RM"), ("RC", "RC2")):
+        mix = enumerated_mixture(model_l, scheme, "joint", 1, initial=rho_diag)
+        numeric = np.array(mix.moments())
         assert_allclose(
             numeric, np.array(analytic[name]), rtol=1e-8, atol=1e-12, err_msg=name
         )
@@ -175,8 +174,8 @@ def test_criterion_04_closed_form_moment_regression(default_config):
     alpha, phi = default_config.stroke.alpha, default_config.stroke.phi
     d_init = 0.41
     initial = np.diag([1.0 - d_init, d_init]).astype(complex)
-    rm = np.array(mixture_moments(joint_pdf_rm(model_l, 1, initial=initial)))
-    rc = np.array(mixture_moments(joint_pdf_rc(model_l, 1, initial=initial)))
+    rm = np.array(enumerated_mixture(model_l, "RM", "joint", 1, initial).moments())
+    rc = np.array(enumerated_mixture(model_l, "RC2", "joint", 1, initial).moments())
     coherence = np.exp(-thermo.gamma * thermo.theta) * np.cos(
         2.0 * (thermo.theta + phi)
     )
@@ -192,12 +191,12 @@ def test_criterion_04_closed_form_moment_regression(default_config):
 def test_criterion_05_adiabatic_work_peak_structure(adiabatic_perfect_config):
     model = build_model(adiabatic_perfect_config)
     rho0 = initial_state(adiabatic_perfect_config, model)
-    branches = enumerate_branches(model, 1, initial=rho0, prune=0.0)
+    enumeration = enumerate_branches(model, 1, initial=rho0)
     eps_c = adiabatic_perfect_config.eps_c
     eps_h = adiabatic_perfect_config.eps_h
     allowed_values = {0.0, 2.0 * (eps_h - eps_c), -2.0 * (eps_h - eps_c)}
     for scheme in ("RM", "RC2"):
-        table = scaled_branch_weights(branches, scheme, "work")
+        table = as_weight_table(*point_weights(enumeration, scheme, "work"))
         for (a, b), weight in table.items():
             if (a, b) not in ADIABATIC_WORK_WEIGHTS:
                 assert abs(weight) < 1e-14, (scheme, a, b)
@@ -215,7 +214,7 @@ def test_criterion_05_adiabatic_work_peak_structure(adiabatic_perfect_config):
 def test_criterion_06_characteristic_function_envelope(default_config):
     cycles = 1
     sigma2 = default_config.sigma**2
-    mix = joint_pdf_rm(default_config, cycles)
+    mix = enumerated_mixture(default_config, "RM", "joint", cycles)
     assert_allclose(
         mix.covariance,
         2.0 * cycles * sigma2 * np.array([[2.0, -1.0], [-1.0, 1.0]]),
@@ -246,9 +245,9 @@ def test_criterion_06_characteristic_function_envelope(default_config):
 
 
 def _pointer_scheme_work_gap(model: EngineModel, rho0, cycles: int = 1) -> float:
-    branches = enumerate_branches(model, cycles, initial=rho0, prune=0.0)
-    one = scaled_branch_weights(branches, "RC1", "work")
-    two = scaled_branch_weights(branches, "RC2", "work")
+    table = enumerate_branches(model, cycles, initial=rho0)
+    one = as_weight_table(*point_weights(table, "RC1", "work"))
+    two = as_weight_table(*point_weights(table, "RC2", "work"))
     deviation, detail = compare_weight_tables(one, two)
     assert detail == ""
     return deviation
@@ -358,8 +357,9 @@ def test_criterion_10_distribution_and_channel_properties(
     for scheme in ("RM", "RC2"):
         joint = joint_via_lattice(default_config, scheme, 2)
         assert abs(joint.weights.sum() - 1.0) <= 1e-9, scheme
-    for build in (joint_pdf_rm, joint_pdf_rc):
-        assert abs(build(default_config, 1).weights.sum() - 1.0) <= 1e-9
+    for scheme in ("RM", "RC2"):
+        joint = enumerated_mixture(default_config, scheme, "joint", 1)
+        assert abs(joint.weights.sum() - 1.0) <= 1e-9
 
     # Trace and positivity preservation on random states for every channel.
     states = random_density_matrices(np.random.default_rng(20260815), 1000)

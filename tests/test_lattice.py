@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import enumerated_mixture
 from ottomon import EngineConfig, LandauZenerStroke, PerfectThermo
 from ottomon.engine import MAX_SHIFT, build_model, tilted_cycle_coefficients
 from ottomon.lattice import (
@@ -25,25 +26,7 @@ from ottomon.lattice import (
     work_per_cycle_series,
 )
 from ottomon.mixtures import collapse_duplicates
-from ottomon.oracle import (
-    joint_pdf_rc,
-    joint_pdf_rm,
-    marginal_rc_heat,
-    marginal_rc_work,
-    marginal_rm_heat,
-    marginal_rm_work,
-    mixture_moments,
-)
 from ottomon.superop import conjugation, trace_of_vec, vec
-
-ORACLE_MARGINALS = {
-    ("RM", "work"): marginal_rm_work,
-    ("RM", "heat"): marginal_rm_heat,
-    ("RC1", "work"): lambda cfg, n: marginal_rc_work(cfg, n, pointers=1),
-    ("RC1", "heat"): lambda cfg, n: marginal_rc_heat(cfg, n, pointers=1),
-    ("RC2", "work"): lambda cfg, n: marginal_rc_work(cfg, n, pointers=2),
-    ("RC2", "heat"): lambda cfg, n: marginal_rc_heat(cfg, n, pointers=2),
-}
 
 
 def _assert_same_mixture(lhs, rhs, atol: float = 1e-12) -> None:
@@ -62,14 +45,14 @@ def test_lattice_matches_enumeration_for_one_cycle(
     default_config, scheme, observable
 ) -> None:
     lattice = marginal_via_lattice(default_config, scheme, observable, 1)
-    reference = ORACLE_MARGINALS[(scheme, observable)](default_config, 1)
+    reference = enumerated_mixture(default_config, scheme, observable, 1)
     _assert_same_mixture(lattice, reference)
 
 
 def test_lattice_matches_enumeration_for_two_cycles(default_config) -> None:
     for scheme in ("RM", "RC2"):
         lattice = marginal_via_lattice(default_config, scheme, "work", 2)
-        reference = ORACLE_MARGINALS[(scheme, "work")](default_config, 2)
+        reference = enumerated_mixture(default_config, scheme, "work", 2)
         _assert_same_mixture(lattice, reference)
 
 
@@ -262,12 +245,12 @@ def test_weight_table_tolerance_prunes_entries(default_config) -> None:
 
 @pytest.mark.parametrize("cycles", [1, 2])
 def test_joint_via_lattice_matches_enumeration(default_config, cycles) -> None:
-    for scheme, reference_fn in (("RM", joint_pdf_rm), ("RC2", joint_pdf_rc)):
+    for scheme in ("RM", "RC2"):
         lattice = joint_via_lattice(default_config, scheme, cycles)
-        reference = reference_fn(default_config, cycles)
+        reference = enumerated_mixture(default_config, scheme, "joint", cycles)
         assert_allclose(
-            np.array(mixture_moments(lattice)),
-            np.array(mixture_moments(reference)),
+            np.array(lattice.moments()),
+            np.array(reference.moments()),
             atol=1e-12,
         )
         assert_allclose(lattice.covariance, reference.covariance, atol=1e-14)
@@ -290,7 +273,7 @@ def test_one_and_two_pointer_work_lattices_are_identical(default_config) -> None
 def test_work_series_first_cycle_matches_enumeration(default_config) -> None:
     rows = work_per_cycle_series(default_config, "RM", 3)
     assert [row[0] for row in rows] == [1, 2, 3]
-    mean, second = mixture_moments(marginal_rm_work(default_config, 1))
+    mean, second = enumerated_mixture(default_config, "RM", "work", 1).moments()
     variance = second - mean * mean
     assert rows[0][1] == pytest.approx(mean, abs=1e-13)
     assert rows[0][2] == pytest.approx(-mean / np.sqrt(variance), abs=1e-12)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import enumerated_mixture
 from ottomon import (
     DirectStroke,
     EngineConfig,
@@ -22,14 +23,14 @@ from ottomon.moments import (
     power_output,
     reliability,
 )
-from ottomon.oracle import joint_pdf_rc, joint_pdf_rm, mixture_moments
 
 
 def _oracle_moments(config: EngineConfig, initial: np.ndarray) -> dict[str, np.ndarray]:
-    return {
-        "RM": np.array(mixture_moments(joint_pdf_rm(config, 1, initial=initial))),
-        "RC": np.array(mixture_moments(joint_pdf_rc(config, 1, initial=initial))),
-    }
+    moments = {}
+    for kind, scheme in (("RM", "RM"), ("RC", "RC2")):
+        mix = enumerated_mixture(config, scheme, "joint", 1, initial)
+        moments[kind] = np.array(mix.moments())
+    return moments
 
 
 def _as_array(moments: MomentSet) -> np.ndarray:

@@ -32,7 +32,6 @@ def test_report_covers_every_check_family(default_report):
         "enumeration_vs_lattice_rm_work_n1",
         "enumeration_vs_lattice_rc1_heat_n1",
         "enumeration_vs_lattice_rc2_work_n1",
-        "reweighting_selfcheck_n1",
         "analytic_moments_rm",
         "analytic_moments_rc",
         "density_normalization_rm_work_n1",
@@ -64,11 +63,17 @@ def test_report_lines_and_dict(default_report):
     assert set(first) == {"name", "status", "deviation", "tolerance", "detail"}
 
 
-def test_corrupted_suppression_fails():
-    report = run_validation(EngineConfig(), suppression_scale=1.05)
+@pytest.mark.parametrize("scale", [0.5, 1.05])
+def test_corrupted_suppression_fails(scale):
+    report = run_validation(EngineConfig(cycles=2), suppression_scale=scale)
     assert not report.passed
     failed = [r.name for r in report.results if r.failed]
-    assert any(name.startswith("enumeration_vs_lattice") for name in failed)
+    # The exponent corrupts the enumeration weights only, and it reaches
+    # every readout: per-stroke and two-pointer work at both cycle counts.
+    assert all(name.startswith("enumeration_vs_lattice_") for name in failed)
+    for scheme in ("rm", "rc2"):
+        for n in (1, 2):
+            assert f"enumeration_vs_lattice_{scheme}_work_n{n}" in failed
     assert report.lines()[-1].startswith("FAILED:")
 
 
