@@ -13,7 +13,7 @@ import numpy as np
 
 from ottomon import EngineConfig, build_model
 from ottomon.asymptotics import initial_state
-from ottomon.lattice import as_weight_table, build_cycle_kernel
+from ottomon.lattice import as_weight_table, lattice_points
 from ottomon.oracle import enumerate_branches, point_weights
 from ottomon.superop import conjugation
 from ottomon.validation import compare_weight_tables, run_validation
@@ -62,9 +62,9 @@ def main() -> None:
     gap = pointer_work_gap(model, rho0)
     print(f"  sector-mixing channel: gap = {gap:.3e} (equivalence broken)")
     try:
-        build_cycle_kernel(model, "RC2", "work")
+        lattice_points(model, "RC2", "work", 1)
     except ValueError as exc:
-        print(f"  lattice kernel fails closed: {exc}")
+        print(f"  lattice fails closed: {exc}")
 
 
 if __name__ == "__main__":

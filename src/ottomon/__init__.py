@@ -42,21 +42,17 @@ from .engine import (
     heat_variance,
     work_variance,
 )
-from .lattice import (
-    joint_via_lattice,
-    marginal_via_lattice,
-    mixture_from_points,
-    moment_series,
-    work_per_cycle_series,
-)
+from .lattice import joint_via_lattice, marginal_via_lattice, mixture_from_points
 from .mixtures import GaussianMixture1D, GaussianMixture2D
 from .moments import (
     MomentSet,
     analytic_moments_lindblad,
     analytic_moments_perfect,
     efficiency,
+    moment_series,
     power_output,
     reliability,
+    work_per_cycle_series,
 )
 from .oracle import BranchTable, enumerate_branches, point_weights
 from .qubit import (

@@ -20,6 +20,8 @@ from .engine import (
     LindbladThermo,
     MAX_SHIFT,
     build_model,
+    fold_initial_state_rc,
+    fold_required,
     tilted_cycle_coefficients,
 )
 from .qubit import gibbs_population, validate_density_matrix
@@ -51,16 +53,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     lambda2: float
 
-    @property
-    def lambda1(self) -> float:
-        return float(abs(self.eigenvalues[0]))
-
-
-def _as_model(engine: EngineConfig | EngineModel) -> EngineModel:
-    if isinstance(engine, EngineModel):
-        return engine
-    return build_model(engine)
-
 
 def _resolve_kind(kind: str) -> str:
     resolved = _KIND_ALIASES.get(kind.upper())
@@ -85,7 +77,8 @@ def build_cycle_superoperator(
     tilted cycle map at unit counting variables, K(1, 1).
     """
     kind = _resolve_kind(kind)
-    coeffs = _kind_coefficients(_as_model(engine), kind)
+    model = engine if isinstance(engine, EngineModel) else build_model(engine)
+    coeffs = _kind_coefficients(model, kind)
     return CycleSuperoperator(matrix=coeffs.sum(axis=(0, 1)), kind=kind)
 
 
@@ -153,6 +146,25 @@ def initial_state(
     return generalized_gibbs(bath, model.h_cold).matrix
 
 
+def resolve_initial_state(
+    model: EngineModel, initial: np.ndarray | None = None
+) -> np.ndarray:
+    """The given initial state, or the configured one when none is given."""
+    if initial is None:
+        return initial_state(model.config, model)
+    return np.asarray(initial, dtype=complex)
+
+
+def prepare_initial_state(
+    model: EngineModel, scheme: str, observable: str, initial: np.ndarray | None = None
+) -> np.ndarray:
+    """Resolve the initial state and apply the fold the readout needs."""
+    rho = resolve_initial_state(model, initial)
+    if fold_required(scheme, observable):
+        rho = fold_initial_state_rc(rho, model.sigma, model.h_cold.epsilon)
+    return rho
+
+
 def asymptotic_work_heat(
     engine: EngineConfig | EngineModel, kind: str
 ) -> tuple[float, float]:
@@ -163,7 +175,7 @@ def asymptotic_work_heat(
     the sum of (a*eps_c + b*eps_h) Tr[G rho] and heat of -b*eps_h Tr[G rho].
     The RM kind carries the per-contact suppression factors in G.
     """
-    model = _as_model(engine)
+    model = engine if isinstance(engine, EngineModel) else build_model(engine)
     kind = _resolve_kind(kind)
     coeffs = _kind_coefficients(model, kind)
     rho = invariant_state(CycleSuperoperator(coeffs.sum(axis=(0, 1)), kind))

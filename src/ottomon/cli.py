@@ -36,20 +36,13 @@ from .engine import (
     LindbladThermo,
     build_model,
 )
-from .lattice import (
-    LatticeAccumulator,
-    accumulate,
-    assemble_marginal,
-    build_cycle_kernel,
-    marginal_via_lattice,
-    mixture_from_points,
-    moment_series,
-)
+from .lattice import marginal_via_lattice, mixture_from_points
 from .mixtures import prune_components
 from .moments import (
     MomentSet,
     analytic_moments_lindblad,
     efficiency,
+    moment_series,
     perfect_readout_moments,
     power_output,
     reliability,
@@ -61,6 +54,9 @@ from .validation import run_validation
 DENSITY_MATCH_TOL = 1e-12
 DEFAULT_GRID_POINTS = 4096
 GRID_PAD_SIGMAS = 8.0
+# The joint command enumerates branch pairs, one cycle short of the oracle's
+# own limit.
+JOINT_CYCLE_LIMIT = ORACLE_CYCLE_LIMIT - 1
 
 
 def _fmt(value) -> str:
@@ -147,25 +143,29 @@ def _marginal_components(mix) -> list[dict]:
     ]
 
 
-def _rc_work_lattice(model: EngineModel) -> LatticeAccumulator:
-    """The accumulated-pointer work lattice, shared by both RC schemes.
-
-    One and two pointers give the same work lattice: the same unit-weight
-    kernel and the same first-contact fold of the initial state.
-    """
-    return accumulate(build_cycle_kernel(model, "RC2", "work"), model.config.cycles)
+def _check_grid(points: int, lo: float | None, hi: float | None) -> None:
+    """Refuse a grid of under 2 points or with given bounds out of order."""
+    if points < 2:
+        raise ConfigError("density grid needs at least 2 points")
+    if lo is not None and hi is not None and not hi > lo:
+        raise ConfigError("grid upper bound must exceed the lower bound")
 
 
 def cmd_pdf(args) -> int:
     config = _load_config(args)
+    if args.format == "csv":
+        # Refuse a bad grid before any lattice runs.
+        _check_grid(args.points, args.grid_min, args.grid_max)
     model = build_model(config)
     cycles = config.cycles
     if args.observable == "work":
-        rc_work = _rc_work_lattice(model)
+        # One and two accumulated pointers give the same work mixture: the
+        # same lattice, the same first-contact fold and the same variance.
+        rc_work = marginal_via_lattice(model, "RC2", "work", cycles)
         mixes = {
             "RM": marginal_via_lattice(model, "RM", "work", cycles),
-            "RC1": assemble_marginal(rc_work, "RC1", cycles, model.sigma, "work"),
-            "RC2": assemble_marginal(rc_work, "RC2", cycles, model.sigma, "work"),
+            "RC1": rc_work,
+            "RC2": rc_work,
         }
     else:
         mixes = {
@@ -186,8 +186,6 @@ def cmd_pdf(args) -> int:
         }
         _emit_json(args, payload)
         return 0
-    if args.points < 2:
-        raise ConfigError("density grid needs at least 2 points")
     pad = GRID_PAD_SIGMAS * max(np.sqrt(m.variance) for m in mixes.values())
     # The default window spans the components the densities evaluate, not
     # every occupied center: negligible far-out weights would stretch it and
@@ -199,13 +197,11 @@ def cmd_pdf(args) -> int:
         lo = min(c.min() for c in kept) - pad
     if hi is None:
         hi = max(c.max() for c in kept) + pad
-    if not hi > lo:
-        raise ConfigError("grid upper bound must exceed the lower bound")
+    _check_grid(args.points, lo, hi)
     grid = np.linspace(lo, hi, args.points)
     dens = {name: mixes[name].density(grid) for name in ("RM", "RC2")}
-    # The two accumulated-pointer work mixtures come from one lattice with one
-    # variance, so they share their density.
-    if args.observable == "work":
+    # The two accumulated-pointer work readouts share one mixture.
+    if mixes["RC1"] is mixes["RC2"]:
         dens["RC1"] = dens["RC2"]
     else:
         dens["RC1"] = mixes["RC1"].density(grid)
@@ -226,10 +222,10 @@ def cmd_pdf(args) -> int:
 
 def cmd_joint(args) -> int:
     config = _load_config(args)
-    if config.cycles > 2:
+    if config.cycles > JOINT_CYCLE_LIMIT:
         raise ConfigError(
             "the joint command enumerates branch pairs exhaustively; "
-            f"use at most 2 cycles (got {config.cycles})"
+            f"use at most {JOINT_CYCLE_LIMIT} cycles (got {config.cycles})"
         )
     if config.scheme == "RC1":
         raise ConfigError("joint distribution requires two pointers (RM or RC2)")
@@ -573,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_joint = sub.add_parser(
         "joint",
         parents=[common],
-        help=f"exhaustive joint (work, heat) mixture, up to {ORACLE_CYCLE_LIMIT - 1} cycles",
+        help="exhaustive joint (work, heat) mixture, up to "
+        f"{JOINT_CYCLE_LIMIT} cycles",
     )
     p_joint.set_defaults(func=cmd_joint)
 

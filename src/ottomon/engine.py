@@ -6,7 +6,9 @@ counting variable of the energy it records turns the cycle into a 4x4
 superoperator whose entries are Laurent polynomials in the two work-lattice
 variables (full counting statistics); its coefficients are the per-cycle
 transfer operators grouped by integer lattice increment, from which the
-lattice kernel, the cycle map and the asymptotic rates all follow.
+lattice kernel, the cycle map and the asymptotic rates all follow.  The
+accumulated pointers enter only through a fold of the initial state, valid
+on thermal channels that keep the population and coherence sectors apart.
 """
 from __future__ import annotations
 
@@ -23,9 +25,18 @@ from .qubit import (
     landau_zener_params,
 )
 from .superop import conjugation
-from .thermal import BathSpec, LindbladMap, PerfectMap, ThermalState, generalized_gibbs
+from .thermal import (
+    DECOUPLING_TOL,
+    BathSpec,
+    LindbladMap,
+    PerfectMap,
+    ThermalState,
+    decoupling_violation,
+    generalized_gibbs,
+)
 
 SCHEMES = ("RM", "RC1", "RC2")
+OBSERVABLES = ("work", "heat")
 INIT_KINDS = ("invariant", "gibbs_cold", "generalized_gibbs_cold", "custom")
 # Largest per-cycle work-lattice increment on either axis.
 MAX_SHIFT = 2
@@ -185,6 +196,53 @@ def contact_suppression(epsilon: float, sigma: float) -> float:
     if sigma == 0.0:
         return 0.0
     return float(np.exp(-(epsilon**2) / (2.0 * sigma**2)))
+
+
+def fold_initial_state_rc(rho: np.ndarray, sigma: float, eps_c: float) -> np.ndarray:
+    """Damp initial off-diagonals by the first-contact pointer overlap.
+
+    The accumulated-pointer record differences telescope across the chain,
+    leaving only the overlap factor of the very first contact; it acts on the
+    initial state as a partial dephasing in the cold energy basis.
+    """
+    factor = contact_suppression(eps_c, sigma)
+    folded = np.array(rho, dtype=complex)
+    folded[0, 1] *= factor
+    folded[1, 0] *= factor
+    return folded
+
+
+def fold_required(scheme: str, observable: str) -> bool:
+    """Whether the scheme/observable pair dephases the initial state.
+
+    Both accumulated-pointer work marginals carry the first-contact work
+    imprint; the heat marginal carries it only when the work pointer exists
+    and is traced out (two pointers).  Per-stroke readout needs no fold: its
+    suppression factors are all per-contact and live in the branch weights.
+    """
+    if scheme == "RM":
+        return False
+    return not (scheme == "RC1" and observable == "heat")
+
+
+def require_sector_separation(model: EngineModel, scheme: str) -> None:
+    """Refuse accumulated-pointer schemes on channels that mix sectors.
+
+    The accumulated pointers reduce to the initial-state fold only when no
+    thermal channel converts populations into coherences or back; both the
+    lattice and the moment recursion rest on that reduction.  Per-stroke
+    readout does not, so RM always passes.
+    """
+    if scheme == "RM":
+        return
+    for channel in (model.cold_channel, model.hot_channel):
+        violation = decoupling_violation(channel)
+        if violation > DECOUPLING_TOL:
+            raise ValueError(
+                "thermal channel mixes population and coherence sectors "
+                f"(violation {violation:.3e}); the accumulated-pointer "
+                "lattice reduction does not apply"
+            )
 
 
 def apply_contact(

@@ -55,10 +55,6 @@ class GaussianMixture1D:
         if self.variance < 0:
             raise ValueError("variance must be non-negative")
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def density(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the mixture density on a grid of values."""
         if self.variance == 0.0:
@@ -104,10 +100,6 @@ class GaussianMixture2D:
             raise ValueError("centers and weights must have matching lengths")
         if not np.allclose(self.covariance, self.covariance.T):
             raise ValueError("covariance must be symmetric")
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
     @property
     def is_degenerate(self) -> bool:

@@ -1,10 +1,13 @@
-"""Closed-form single-cycle moments and engine performance metrics.
+"""Moments of work and heat: the moment recursion, closed forms and metrics.
 
-The population dynamics of one cycle is a four-step Markov chain over the
-energy sign at each contact, which gives every first and second moment of
-work and heat in closed form for a diagonal initial state.  Pointer readout
-adds scheme-dependent constants (the mixture widths) and, for accumulating
-pointers, an interference term from coherences that survive the hot stroke.
+The moment recursion differentiates the tilted cycle map at zero counting
+field and gives the mixture moments after any number of cycles without a
+lattice.  For one cycle, the population dynamics is a four-step Markov chain
+over the energy sign at each contact, which gives every first and second
+moment of work and heat in closed form for a diagonal initial state.  Pointer
+readout adds scheme-dependent constants (the mixture widths) and, for
+accumulating pointers, an interference term from coherences that survive the
+hot stroke.
 """
 from __future__ import annotations
 
@@ -12,14 +15,25 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .asymptotics import prepare_initial_state, resolve_initial_state
 from .engine import (
+    MAX_SHIFT,
+    OBSERVABLES,
+    SCHEMES,
     EngineConfig,
     EngineModel,
     LindbladThermo,
     PerfectThermo,
-    perfect_targets,
     build_model,
+    fold_required,
+    heat_variance,
+    joint_covariance,
+    perfect_targets,
+    require_sector_separation,
+    tilted_cycle_coefficients,
+    work_variance,
 )
+from .superop import trace_of_vec, vec
 from .thermal import ThermalState
 
 
@@ -225,6 +239,99 @@ def power_output(mean_work: float, t1: float, t2: float) -> float:
     return -mean_work / (t1 + t2)
 
 
-def moments_from_tuple(values: tuple[float, float, float, float, float]) -> MomentSet:
-    """Wrap a raw (<W>, <Q>, <W^2>, <Q^2>, <WQ>) tuple."""
-    return MomentSet(*values)
+def moment_series(
+    engine: EngineConfig | EngineModel,
+    scheme: str,
+    n_max: int,
+    initial: np.ndarray | None = None,
+) -> list[MomentSet]:
+    """Mixture moments after 1..n_max cycles, read off the tilted cycle map.
+
+    With K(l, m) = sum_ab exp(l x_ab + m q_b) G[a, b], where x_ab = a eps_c +
+    b eps_h and q_b = -b eps_h are the work and heat increments of the
+    coefficient G[a, b], the moments after N cycles are the derivatives of
+    Tr K(l, m)^N rho at zero counting field (full counting statistics).  The
+    Taylor coefficients of K(l, m)^N rho to second order obey
+
+        v <- K0 v
+        d <- K0 d + K1 v                      (per observable)
+        s <- K0 s + K1 d + K2 v / 2           (per observable)
+        c <- K0 c + K_w d_q + K_q d_w + K_wq v
+
+    with K0 = sum G, K1 = sum x G, K2 = sum x^2 G, K_wq = sum x q G, and give
+    <X> = Tr d, <X^2> = 2 Tr s and <WQ> = Tr c; the pointer terms are added
+    as in the assembled mixtures.  Work and heat start from their own
+    prepared initial states; RC1 folds only the work one and has no joint
+    record, so its cross moment is nan.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
+    model = engine if isinstance(engine, EngineModel) else build_model(engine)
+    require_sector_separation(model, scheme)
+    coeffs = tilted_cycle_coefficients(model, scheme)
+    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
+    x = steps[:, None] * model.h_cold.epsilon + steps[None, :] * model.h_hot.epsilon
+    q = np.broadcast_to(-steps[None, :] * model.h_hot.epsilon, x.shape)
+
+    def weighted(increment: np.ndarray) -> np.ndarray:
+        return np.einsum("ab,abij->ij", increment, coeffs)
+
+    k0 = coeffs.sum(axis=(0, 1))
+    k_w, k_q = weighted(x), weighted(q)
+    zero = np.zeros((4, 4), dtype=complex)
+    # Block lower-triangular step of the coefficient stack (v, d_w, d_q, s_w,
+    # s_q, c).
+    step = np.block(
+        [
+            [k0, zero, zero, zero, zero, zero],
+            [k_w, k0, zero, zero, zero, zero],
+            [k_q, zero, k0, zero, zero, zero],
+            [0.5 * weighted(x * x), k_w, zero, k0, zero, zero],
+            [0.5 * weighted(q * q), zero, k_q, zero, k0, zero],
+            [weighted(x * q), k_q, k_w, zero, zero, k0],
+        ]
+    )
+    rho = resolve_initial_state(model, initial)
+    stack = np.zeros((24, 2), dtype=complex)
+    for column, observable in enumerate(OBSERVABLES):
+        stack[:4, column] = vec(prepare_initial_state(model, scheme, observable, rho))
+    joint = fold_required(scheme, "work") == fold_required(scheme, "heat")
+    sigma = model.sigma
+    out = []
+    for n in range(1, n_max + 1):
+        stack = step @ stack
+        # Block traces; column 0 starts from the work state, 1 from the heat one.
+        tr = trace_of_vec(stack.reshape(6, 4, 2).transpose(0, 2, 1)).real
+        cross = tr[5, 0] + joint_covariance(scheme, n, sigma)[0, 1] if joint else np.nan
+        out.append(
+            MomentSet(
+                float(tr[1, 0]),
+                float(tr[2, 1]),
+                float(2.0 * tr[3, 0] + work_variance(scheme, n, sigma)),
+                float(2.0 * tr[4, 1] + heat_variance(scheme, n, sigma)),
+                float(cross),
+            )
+        )
+    return out
+
+
+def work_per_cycle_series(
+    engine: EngineConfig | EngineModel,
+    scheme: str,
+    n_max: int,
+    initial: np.ndarray | None = None,
+) -> list[tuple[int, float, float]]:
+    """Cumulative work statistics per cycle count.
+
+    Returns one row (N, <W>_N / N, R_N) per cycle, where R is the negated
+    mean over the standard deviation of the accumulated work record.
+    """
+    rows = []
+    for n, moments in enumerate(moment_series(engine, scheme, n_max, initial), 1):
+        variance = moments.work_variance
+        mean = moments.mean_work
+        rel = -mean / np.sqrt(variance) if variance > 0 else np.inf
+        rows.append((n, mean / n, float(rel)))
+    return rows

@@ -24,24 +24,26 @@ from .asymptotics import (
     spectrum,
 )
 from .engine import (
+    OBSERVABLES,
+    SCHEMES,
     EngineConfig,
     EngineModel,
     LindbladThermo,
-    SCHEMES,
     build_model,
+    require_sector_separation,
 )
 from .lattice import (
-    OBSERVABLES,
-    accumulate,
     as_weight_table,
-    build_cycle_kernel,
+    lattice_points,
     marginal_via_lattice,
     mixture_from_points,
-    moment_series,
-    require_sector_separation,
-    weight_table,
 )
-from .moments import analytic_moments_lindblad, perfect_readout_moments
+from .mixtures import prune_components
+from .moments import (
+    analytic_moments_lindblad,
+    moment_series,
+    perfect_readout_moments,
+)
 from .oracle import enumerate_branches, point_weights
 from .superop import unvec, vec
 
@@ -51,7 +53,8 @@ DENSITY_NORM_TOL = 1e-6
 POSITIVITY_TOL = 1e-9
 TRACE_TOL = 1e-12
 CENTER_FLOOR = 1e-13
-DENSITY_GRID_POINTS = 4096
+# Half-width of the density integration window around each kept center.
+DENSITY_PAD_STDS = 8.0
 DENSITY_CYCLE_CAP = 10
 
 
@@ -203,8 +206,9 @@ def _check_oracle_vs_lattice(
                 reference = as_weight_table(
                     *point_weights(table, scheme, observable, scale)
                 )
-                kernel = build_cycle_kernel(model, scheme, observable)
-                candidate = weight_table(accumulate(kernel, n, rho0))
+                candidate = as_weight_table(
+                    *lattice_points(model, scheme, observable, n, rho0)
+                )
                 deviation, detail = compare_weight_tables(reference, candidate)
                 status = "pass" if deviation <= WEIGHT_TOL and not detail else "fail"
                 results.append(
@@ -261,6 +265,24 @@ def _check_analytic_moments(
     return results
 
 
+def _density_windows(mix) -> list[np.ndarray]:
+    """Integration grids that resolve every component the density keeps.
+
+    Each kept center gets a window of +- DENSITY_PAD_STDS standard
+    deviations; overlapping windows merge, and each grid spaces its points at
+    most half a standard deviation apart, so the narrowest component is
+    resolved however far apart the centers lie.
+    """
+    std = float(np.sqrt(mix.variance))
+    pad = DENSITY_PAD_STDS * std
+    centers = np.sort(prune_components(mix.centers, mix.weights)[0])
+    windows = []
+    for group in np.split(centers, np.nonzero(np.diff(centers) > 2.0 * pad)[0] + 1):
+        lo, hi = group[0] - pad, group[-1] + pad
+        windows.append(np.linspace(lo, hi, int(2.0 * (hi - lo) / std) + 2))
+    return windows
+
+
 def _check_lattice_marginals(
     model: EngineModel, rho0: np.ndarray, cycles: int, rc_skip: str | None
 ) -> list[CheckResult]:
@@ -298,14 +320,10 @@ def _check_lattice_marginals(
                 continue
             mix = marginal_via_lattice(model, scheme, observable, n, rho0)
             if densities:
-                pad = 8.0 * np.sqrt(mix.variance)
-                grid = np.linspace(
-                    mix.centers.min() - pad,
-                    mix.centers.max() + pad,
-                    DENSITY_GRID_POINTS,
-                )
-                density = mix.density(grid)
-                integral = float(np.trapezoid(density, grid))
+                windows = _density_windows(mix)
+                density = mix.density(np.concatenate(windows))
+                parts = np.split(density, np.cumsum([w.size for w in windows]))
+                integral = sum(np.trapezoid(d, w) for d, w in zip(parts, windows))
                 results.append(
                     _compare(
                         f"density_normalization_{tag}",

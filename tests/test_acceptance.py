@@ -23,6 +23,7 @@ from ottomon.asymptotics import (
     spectrum,
 )
 from ottomon.engine import (
+    OBSERVABLES,
     SCHEMES,
     DirectStroke,
     EngineConfig,
@@ -32,22 +33,17 @@ from ottomon.engine import (
     build_model,
 )
 from ottomon.lattice import (
-    OBSERVABLES,
-    advance_cycle,
     as_weight_table,
-    build_cycle_kernel,
-    initialize_accumulator,
     joint_via_lattice,
+    lattice_points,
     marginal_via_lattice,
-    prepare_initial_state,
-    weight_table,
-    work_per_cycle_series,
 )
 from ottomon.moments import (
     MomentSet,
     analytic_moments_lindblad,
     analytic_moments_perfect,
     efficiency,
+    work_per_cycle_series,
 )
 from ottomon.oracle import enumerate_branches, point_weights
 from ottomon.qubit import StrokeHamiltonian
@@ -77,14 +73,7 @@ def cumulative_series(default_config):
 
 
 def _lattice_weights(model, scheme, observable, cycles, rho0):
-    kernel = build_cycle_kernel(model, scheme, observable)
-    rho = prepare_initial_state(model, scheme, observable, rho0)
-    acc = initialize_accumulator(
-        rho, cycles, observable, model.h_cold.epsilon, model.h_hot.epsilon
-    )
-    for _ in range(cycles):
-        acc = advance_cycle(acc, kernel)
-    return weight_table(acc)
+    return as_weight_table(*lattice_points(model, scheme, observable, cycles, rho0))
 
 
 def test_criterion_01_finite_coupling_equilibrium_state():
@@ -264,7 +253,7 @@ def test_criterion_07_pointer_scheme_equivalence(
     rho_a = initial_state(adiabatic_perfect_config, model_a)
     assert _pointer_scheme_work_gap(model_a, rho_a) <= 1e-12
     with pytest.raises(ValueError, match="mixes population and coherence"):
-        build_cycle_kernel(model_a, "RC1", "work")
+        lattice_points(model_a, "RC1", "work", 1)
 
     # (b) Dissipative thermalization at two stroke transition probabilities,
     # via the enumeration and via the lattice recursion.
@@ -298,7 +287,7 @@ def test_criterion_07_pointer_scheme_equivalence(
     assert _pointer_scheme_work_gap(corrupted, rho_c) > 1e-3
     for scheme in ("RC1", "RC2"):
         with pytest.raises(ValueError, match="mixes population and coherence"):
-            build_cycle_kernel(corrupted, scheme, "work")
+            lattice_points(corrupted, scheme, "work", 1)
 
 
 def test_criterion_08_geometric_convergence_to_fixed_point(

@@ -18,9 +18,9 @@ from ottomon.asymptotics import (
 )
 from ottomon.cli import main
 from ottomon.engine import EngineConfig, LandauZenerStroke
-from ottomon.lattice import joint_via_lattice, work_per_cycle_series
+from ottomon.lattice import joint_via_lattice
 from ottomon.mixtures import GaussianMixture1D
-from ottomon.moments import power_output
+from ottomon.moments import power_output, work_per_cycle_series
 from ottomon.qubit import landau_zener_params
 
 
@@ -95,6 +95,33 @@ def test_pdf_rejects_bad_grids(capsys):
     code, _, err = run_cli(capsys, "pdf", "--cycles", "1", "--points", "1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "grid_args, message",
+    [
+        (("--points", "1"), "density grid needs at least 2 points"),
+        (
+            ("--grid-min", "5", "--grid-max", "1"),
+            "grid upper bound must exceed the lower bound",
+        ),
+    ],
+)
+def test_pdf_refuses_a_bad_grid_before_any_lattice(
+    capsys, monkeypatch, grid_args, message
+):
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(args)
+        raise AssertionError("a lattice ran before the grid was checked")
+
+    monkeypatch.setattr("ottomon.cli.marginal_via_lattice", recorded)
+    code, out, err = run_cli(capsys, "pdf", "--cycles", "200", *grid_args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert runs == []
 
 
 def test_pdf_default_grid_resolves_long_records(capsys):

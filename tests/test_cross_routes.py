@@ -1,8 +1,9 @@
-"""Randomized cross-route checks of the moment recursion.
+"""Randomized cross-route checks of the moment recursion and the lattice.
 
 Engines are drawn from a fixed-seed generator, so every run checks the same
 configurations; the recursion must agree with the lattice mixtures and with
-the single-cycle closed forms at the tolerances ``validate`` uses.
+the single-cycle closed forms, and the lattice point weights with the
+exhaustive enumeration, at the tolerances ``validate`` uses.
 """
 from __future__ import annotations
 
@@ -10,16 +11,17 @@ import numpy as np
 import pytest
 
 from ottomon import DirectStroke, EngineConfig, LindbladThermo, PerfectThermo
-from ottomon.engine import SCHEMES, build_model
+from ottomon.asymptotics import initial_state
+from ottomon.engine import OBSERVABLES, SCHEMES, build_model
 from ottomon.lattice import (
-    OBSERVABLES,
-    build_cycle_kernel,
+    as_weight_table,
     joint_via_lattice,
+    lattice_points,
     marginal_via_lattice,
-    moment_series,
 )
-from ottomon.moments import perfect_readout_moments
-from ottomon.validation import MOMENT_TOL
+from ottomon.moments import moment_series, perfect_readout_moments
+from ottomon.oracle import enumerate_branches, point_weights
+from ottomon.validation import MOMENT_TOL, WEIGHT_TOL, compare_weight_tables
 
 INITS = ("invariant", "gibbs_cold", "generalized_gibbs_cold")
 
@@ -103,10 +105,29 @@ def test_recursion_refuses_sector_mixing_with_the_kernel_message(
 ) -> None:
     model = build_model(adiabatic_perfect_config)
     with pytest.raises(ValueError, match="mixes population and coherence") as kernel:
-        build_cycle_kernel(model, "RC2", "work")
+        lattice_points(model, "RC2", "work", 1)
     for scheme in ("RC1", "RC2"):
         with pytest.raises(ValueError) as recursion:
             moment_series(model, scheme, 3)
         assert str(recursion.value) == str(kernel.value)
     # Per-stroke readout does not rely on the sector structure.
     assert len(moment_series(model, "RM", 3)) == 3
+
+
+@pytest.mark.parametrize("config", [config for config, _ in RANDOM_ENGINES])
+def test_enumeration_matches_lattice_weights(config) -> None:
+    # Lindblad channels keep the population and coherence sectors apart, so
+    # the sector check admits every scheme.
+    model = build_model(config)
+    rho0 = initial_state(config, model)
+    for cycles in (1, 2):
+        table = enumerate_branches(model, cycles, initial=rho0)
+        for scheme in SCHEMES:
+            for observable in OBSERVABLES:
+                reference = as_weight_table(*point_weights(table, scheme, observable))
+                candidate = as_weight_table(
+                    *lattice_points(model, scheme, observable, cycles, rho0)
+                )
+                deviation, detail = compare_weight_tables(reference, candidate)
+                tag = (scheme, observable, cycles, deviation, detail)
+                assert deviation <= WEIGHT_TOL and detail == "", tag

@@ -1,4 +1,4 @@
-"""Polynomial-cost lattice accumulation versus the brute-force enumeration."""
+"""Polynomial-cost lattice runs versus the brute-force enumeration."""
 from __future__ import annotations
 
 import tracemalloc
@@ -9,23 +9,24 @@ from numpy.testing import assert_allclose
 
 from conftest import enumerated_mixture
 from ottomon import EngineConfig, LandauZenerStroke, PerfectThermo
-from ottomon.engine import MAX_SHIFT, build_model, tilted_cycle_coefficients
-from ottomon.lattice import (
-    LATTICE_MEMORY_BUDGET,
-    accumulate,
-    advance_cycle,
-    build_cycle_kernel,
+from ottomon.asymptotics import prepare_initial_state
+from ottomon.engine import (
+    MAX_SHIFT,
+    build_model,
     fold_initial_state_rc,
     fold_required,
-    initialize_accumulator,
+    tilted_cycle_coefficients,
+)
+from ottomon.lattice import (
+    LATTICE_MEMORY_BUDGET,
+    as_weight_table,
+    check_lattice_budget,
     joint_via_lattice,
+    lattice_points,
     marginal_via_lattice,
-    prepare_initial_state,
-    total_trace,
-    weight_table,
-    work_per_cycle_series,
 )
 from ottomon.mixtures import collapse_duplicates
+from ottomon.moments import work_per_cycle_series
 from ottomon.superop import conjugation, trace_of_vec, vec
 
 
@@ -90,26 +91,17 @@ def test_accumulated_pointer_kernel_fails_closed_on_sector_mixing(default_config
     model.hot_channel = SectorMixingChannel()
     for scheme in ("RC1", "RC2"):
         with pytest.raises(ValueError, match="mixes population and coherence"):
-            build_cycle_kernel(model, scheme, "work")
+            lattice_points(model, scheme, "work", 1)
     # the per-stroke readout scheme does not rely on the decoupling structure
-    build_cycle_kernel(model, "RM", "work")
+    lattice_points(model, "RM", "work", 1)
 
 
-def test_accumulator_capacity_is_enforced(default_config) -> None:
-    kernel = build_cycle_kernel(default_config, "RM", "work")
-    rho = prepare_initial_state(kernel.model, "RM", "work")
-    acc = initialize_accumulator(rho, 1, "work", 1.0, 3.7)
-    acc = advance_cycle(acc, kernel)
-    with pytest.raises(ValueError, match="capacity"):
-        advance_cycle(acc, kernel)
-
-
-def test_accumulator_refuses_lattices_over_the_memory_budget() -> None:
-    rho = np.diag([0.7, 0.3]).astype(complex)
+def test_accumulator_refuses_lattices_over_the_memory_budget(default_config) -> None:
+    model = build_model(default_config)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="ottomon moments"):
-            initialize_accumulator(rho, 100_000, "work", 1.0, 3.7)
+            lattice_points(model, "RM", "work", 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -118,35 +110,33 @@ def test_accumulator_refuses_lattices_over_the_memory_budget() -> None:
     # Every lattice size in use (at most 200 cycles) fits the budget.
     assert LATTICE_MEMORY_BUDGET == 2**30
     for observable in ("work", "heat"):
-        acc = initialize_accumulator(rho, 200, observable, 1.0, 3.7)
-        assert acc.capacity == 200
+        check_lattice_budget(200, observable)
 
 
-def test_accumulator_refuses_runs_over_the_point_budget() -> None:
-    rho = np.diag([0.7, 0.3]).astype(complex)
+def test_accumulator_refuses_runs_over_the_point_budget(default_config) -> None:
+    model = build_model(default_config)
     tracemalloc.start()
     try:
         # A heat lattice this long fits the memory budget but not the time one.
         with pytest.raises(ValueError, match="ottomon moments"):
-            initialize_accumulator(rho, 100_000, "heat", 1.0, 3.7)
+            lattice_points(model, "RM", "heat", 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     # The largest work lattice admitted under the earlier memory-only guard
     # stays admitted, and the next one is refused.
-    assert initialize_accumulator(rho, 457, "work", 1.0, 3.7).capacity == 457
+    check_lattice_budget(457, "work")
     with pytest.raises(ValueError, match="points"):
-        initialize_accumulator(rho, 458, "work", 1.0, 3.7)
+        check_lattice_budget(458, "work")
 
 
 def test_accumulator_refuses_a_non_hermitian_state(default_config) -> None:
     rho = np.array([[0.6, 0.2], [0.1, 0.4]], dtype=complex)
     with pytest.raises(ValueError, match="not Hermitian"):
-        initialize_accumulator(rho, 1, "work", 1.0, 3.7)
-    kernel = build_cycle_kernel(default_config, "RM", "heat")
+        lattice_points(default_config, "RM", "work", 1, initial=rho)
     with pytest.raises(ValueError, match="not Hermitian"):
-        accumulate(kernel, 2, initial=rho)
+        lattice_points(default_config, "RM", "heat", 2, initial=rho)
 
 
 def test_kernel_refuses_a_stroke_that_breaks_hermiticity(default_config) -> None:
@@ -161,7 +151,7 @@ def test_kernel_refuses_a_stroke_that_breaks_hermiticity(default_config) -> None
     for scheme in ("RM", "RC2"):
         for observable in ("work", "heat"):
             with pytest.raises(ValueError, match="Hermiticity"):
-                build_cycle_kernel(model, scheme, observable)
+                lattice_points(model, scheme, observable, 1)
 
 
 def grouped_convolution(model, scheme, observable, cycles) -> dict:
@@ -211,8 +201,7 @@ def test_contact_advance_matches_the_grouped_convolution(engine) -> None:
     model = build_model(ADVANCE_ENGINES[engine])
     for scheme in ("RM", "RC1", "RC2"):
         for observable in ("work", "heat"):
-            kernel = build_cycle_kernel(model, scheme, observable)
-            got = weight_table(accumulate(kernel, 20))
+            got = as_weight_table(*lattice_points(model, scheme, observable, 20))
             expected = grouped_convolution(model, scheme, observable, 20)
             assert set(got) == set(expected), (scheme, observable)
             deviation = max(abs(got[key] - value) for key, value in expected.items())
@@ -220,27 +209,10 @@ def test_contact_advance_matches_the_grouped_convolution(engine) -> None:
 
 
 def test_trace_is_conserved_across_cycles(default_config) -> None:
-    kernel = build_cycle_kernel(default_config, "RM", "work")
-    rho = prepare_initial_state(kernel.model, "RM", "work")
-    acc = initialize_accumulator(rho, 6, "work", 1.0, 3.7)
-    for _ in range(6):
-        acc = advance_cycle(acc, kernel)
-        assert total_trace(acc).real == pytest.approx(1.0, abs=1e-12)
-        assert abs(total_trace(acc).imag) < 1e-13
-
-
-def test_weight_table_tolerance_prunes_entries(default_config) -> None:
-    kernel = build_cycle_kernel(default_config, "RM", "work")
-    rho = prepare_initial_state(kernel.model, "RM", "work")
-    acc = initialize_accumulator(rho, 2, "work", 1.0, 3.7)
-    for _ in range(2):
-        acc = advance_cycle(acc, kernel)
-    full = weight_table(acc)
-    pruned = weight_table(acc, tol=1e-6)
-    assert len(pruned) < len(full)
-    assert sum(full.values()) == pytest.approx(1.0, abs=1e-12)
-    for key, value in pruned.items():
-        assert value == pytest.approx(full[key])
+    model = build_model(default_config)
+    for cycles in range(1, 7):
+        _, weights = lattice_points(model, "RM", "work", cycles)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("cycles", [1, 2])

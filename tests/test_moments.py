@@ -18,7 +18,6 @@ from ottomon.moments import (
     analytic_moments_lindblad,
     analytic_moments_perfect,
     efficiency,
-    moments_from_tuple,
     perfect_readout_moments,
     power_output,
     reliability,
@@ -179,8 +178,8 @@ def test_power_output_sign_convention() -> None:
     assert power_output(0.3, 2.0, 4.0) == pytest.approx(-0.05)
 
 
-def test_moments_from_tuple_round_trip() -> None:
+def test_moment_set_round_trip() -> None:
     values = (-0.1, 0.2, 0.3, 0.4, -0.05)
-    moments = moments_from_tuple(values)
+    moments = MomentSet(*values)
     assert _as_array(moments).tolist() == list(values)
     assert moments.heat_variance == pytest.approx(0.4 - 0.04)

@@ -85,6 +85,17 @@ def test_zero_width_skips_density_checks():
     assert not any(name.startswith("density_positivity") for name in by_name)
 
 
+@pytest.mark.parametrize("sigma", [0.01, 0.001])
+def test_narrow_pointers_pass_the_density_legs(sigma):
+    # Pointers far narrower than the spacing of the centers: the integration
+    # grid has to resolve every component, not span them at a fixed count.
+    report = run_validation(EngineConfig(sigma=sigma, cycles=5))
+    density = [r for r in report.results if r.name.startswith("density_")]
+    assert len(density) == 12
+    assert all(r.status == "pass" for r in density), [r.line() for r in density]
+    assert report.passed
+
+
 def test_dissipationless_configuration_skips_state_legs():
     config = EngineConfig(
         thermo=LindbladThermo(beta_c=0.25, beta_h=0.025, gamma=0.0, theta=8.0)
