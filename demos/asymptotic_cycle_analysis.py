@@ -13,6 +13,7 @@ import numpy as np
 from ottomon import (
     EngineConfig,
     LandauZenerStroke,
+    READOUTS,
     asymptotic_power,
     asymptotic_work_heat,
     build_cycle_superoperator,
@@ -27,21 +28,21 @@ def main() -> None:
     config = EngineConfig()
 
     print("Cycle-map spectrum (eigenvalue moduli, descending):")
-    for kind in ("RM", "RC"):
-        sop = build_cycle_superoperator(config, kind)
+    for label, scheme in READOUTS:
+        sop = build_cycle_superoperator(config, scheme)
         report = spectrum(sop)
         moduli = ", ".join(f"{abs(z):.6f}" for z in report.eigenvalues[:4])
-        print(f"  {kind}: {moduli}  (gap = {report.lambda2:.6f})")
+        print(f"  {label}: {moduli}  (gap = {report.lambda2:.6f})")
         rho = invariant_state(sop)
         print(f"      invariant excited population {rho[1, 1].real:.6f}")
 
     print("\nPer-cycle work increments vs the asymptotic value:")
-    for scheme, kind in (("RM", "RM"), ("RC2", "RC")):
+    for _, scheme in READOUTS:
         rows = work_per_cycle_series(config, scheme, 30)
         totals = np.array([n * mean for n, mean, _ in rows])
         increments = np.diff(np.concatenate(([0.0], totals)))
-        w_inf, _ = asymptotic_work_heat(config, kind)
-        lam2 = spectrum(build_cycle_superoperator(config, kind)).lambda2
+        w_inf, _ = asymptotic_work_heat(config, scheme)
+        lam2 = spectrum(build_cycle_superoperator(config, scheme)).lambda2
         fitted = fit_geometric_ratio(increments - w_inf)
         print(f"  {scheme}: w_inf = {w_inf:+.6f}")
         for n in (1, 2, 5, 10, 30):

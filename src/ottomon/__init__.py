@@ -6,7 +6,6 @@ end-of-run accumulated pointers), their efficiency, reliability and power
 metrics, and the asymptotic per-cycle behavior of the monitored dynamics.
 """
 from .asymptotics import (
-    CycleSuperoperator,
     DegenerateFixedPointError,
     SpectrumReport,
     asymptotic_power,
@@ -36,6 +35,7 @@ from .engine import (
     LandauZenerStroke,
     LindbladThermo,
     PerfectThermo,
+    READOUTS,
     SCHEMES,
     build_model,
     joint_covariance,
@@ -79,7 +79,6 @@ __all__ = [
     "BranchTable",
     "CheckResult",
     "ConfigError",
-    "CycleSuperoperator",
     "DegenerateFixedPointError",
     "DirectStroke",
     "EngineConfig",
@@ -93,6 +92,7 @@ __all__ = [
     "MomentSet",
     "PerfectMap",
     "PerfectThermo",
+    "READOUTS",
     "SCHEMES",
     "SpectrumReport",
     "StrokeHamiltonian",

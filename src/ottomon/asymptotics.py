@@ -18,8 +18,8 @@ from .engine import (
     EngineModel,
     LandauZenerStroke,
     LindbladThermo,
-    MAX_SHIFT,
     build_model,
+    cycle_increments,
     fold_initial_state_rc,
     fold_required,
     tilted_cycle_coefficients,
@@ -31,19 +31,8 @@ from .thermal import BathSpec, generalized_gibbs
 FIXED_POINT_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
-_KIND_ALIASES = {"RM": "RM", "RC": "RC", "RC1": "RC", "RC2": "RC"}
-
-
 class DegenerateFixedPointError(ValueError):
     """The cycle map has more than one eigenvalue at 1."""
-
-
-@dataclass(frozen=True)
-class CycleSuperoperator:
-    """Matrix of the full-cycle channel acting on column-stacked states."""
-
-    matrix: np.ndarray
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -54,43 +43,30 @@ class SpectrumReport:
     lambda2: float
 
 
-def _resolve_kind(kind: str) -> str:
-    resolved = _KIND_ALIASES.get(kind.upper())
-    if resolved is None:
-        raise ValueError("kind must be RM or RC")
-    return resolved
-
-
-def _kind_coefficients(model: EngineModel, kind: str) -> np.ndarray:
-    """Tilted-map coefficients of a readout kind (RC maps to two pointers)."""
-    return tilted_cycle_coefficients(model, "RM" if kind == "RM" else "RC2")
-
-
 def build_cycle_superoperator(
-    engine: EngineConfig | EngineModel, kind: str
-) -> CycleSuperoperator:
-    """The four strokes composed, with contact dephasing for the RM kind.
+    engine: EngineConfig | EngineModel, scheme: str
+) -> np.ndarray:
+    """The four strokes composed, with contact dephasing for per-stroke readout.
 
-    The RC kind is the unmonitored cycle channel: the accumulating pointers
-    leave the reduced dynamics untouched.  The RM kind damps off-diagonals by
-    the pointer overlap factor at each of the four contacts.  Both are the
-    tilted cycle map at unit counting variables, K(1, 1).
+    The accumulated-pointer schemes share the unmonitored cycle channel: the
+    pointers leave the reduced dynamics untouched.  Per-stroke readout (RM)
+    damps off-diagonals by the pointer overlap factor at each of the four
+    contacts.  Both are the tilted cycle map at unit counting variables,
+    K(1, 1), a 4x4 matrix acting on column-stacked states.
     """
-    kind = _resolve_kind(kind)
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    coeffs = _kind_coefficients(model, kind)
-    return CycleSuperoperator(matrix=coeffs.sum(axis=(0, 1)), kind=kind)
+    return tilted_cycle_coefficients(model, scheme).sum(axis=(0, 1))
 
 
-def spectrum(sop: CycleSuperoperator) -> SpectrumReport:
-    """All four eigenvalues and the second-largest modulus."""
-    eigvals = np.linalg.eigvals(sop.matrix)
+def spectrum(matrix: np.ndarray) -> SpectrumReport:
+    """All four eigenvalues of a cycle map and the second-largest modulus."""
+    eigvals = np.linalg.eigvals(matrix)
     order = np.argsort(-np.abs(eigvals))
     eigvals = eigvals[order]
     return SpectrumReport(eigenvalues=eigvals, lambda2=float(abs(eigvals[1])))
 
 
-def invariant_state(sop: CycleSuperoperator) -> np.ndarray:
+def invariant_state(matrix: np.ndarray) -> np.ndarray:
     """Unit-trace fixed point of the cycle channel.
 
     Solves the bordered system [M - I; Tr] x = [0; 1], which pins the trace
@@ -98,7 +74,7 @@ def invariant_state(sop: CycleSuperoperator) -> np.ndarray:
     :class:`DegenerateFixedPointError` when the eigenvalue 1 is not simple
     (this happens exactly when the cycle contains no dissipation).
     """
-    eigvals = np.linalg.eigvals(sop.matrix)
+    eigvals = np.linalg.eigvals(matrix)
     distance = np.abs(eigvals - 1.0)
     if (distance <= DEGENERACY_TOL).sum() > 1:
         raise DegenerateFixedPointError(
@@ -110,13 +86,13 @@ def invariant_state(sop: CycleSuperoperator) -> np.ndarray:
             f"no eigenvalue at 1 (closest: {eigvals[closest]}); "
             "channel is not trace-preserving"
         )
-    system = np.vstack([sop.matrix - np.eye(4), TRACE_VEC])
+    system = np.vstack([matrix - np.eye(4), TRACE_VEC])
     rhs = np.zeros(5, dtype=complex)
     rhs[4] = 1.0
     solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     rho = hermitize(unvec(solution))
     rho /= np.trace(rho).real
-    residual = np.abs(unvec(sop.matrix @ vec(rho)) - rho).max()
+    residual = np.abs(unvec(matrix @ vec(rho)) - rho).max()
     if residual > 1e-12:
         raise RuntimeError(f"fixed-point residual {residual:.3e} exceeds 1e-12")
     validate_density_matrix(rho)
@@ -134,7 +110,7 @@ def initial_state(
     if model is None:
         model = build_model(config)
     if config.init == "invariant":
-        return invariant_state(build_cycle_superoperator(model, "RC"))
+        return invariant_state(build_cycle_superoperator(model, "RC2"))
     if config.init == "custom":
         return config.init_custom.matrix
     thermo = config.thermo
@@ -166,25 +142,21 @@ def prepare_initial_state(
 
 
 def asymptotic_work_heat(
-    engine: EngineConfig | EngineModel, kind: str
+    engine: EngineConfig | EngineModel, scheme: str
 ) -> tuple[float, float]:
     """Mean work and hot-bath heat per cycle once the invariant state is reached.
 
-    Weights the per-cycle lattice increments, the coefficients G[a, b] of the
-    tilted cycle map, by their traces at the fixed point of K(1, 1): work is
-    the sum of (a*eps_c + b*eps_h) Tr[G rho] and heat of -b*eps_h Tr[G rho].
-    The RM kind carries the per-contact suppression factors in G.
+    Weights the per-cycle lattice increments (:func:`cycle_increments`) by the
+    traces of the tilted-map coefficients G[a, b] at the fixed point of
+    K(1, 1): work is the sum of (a*eps_c + b*eps_h) Tr[G rho] and heat of
+    -b*eps_h Tr[G rho].  Per-stroke readout carries the per-contact
+    suppression factors in G.
     """
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    kind = _resolve_kind(kind)
-    coeffs = _kind_coefficients(model, kind)
-    rho = invariant_state(CycleSuperoperator(coeffs.sum(axis=(0, 1)), kind))
+    coeffs = tilted_cycle_coefficients(model, scheme)
+    rho = invariant_state(coeffs.sum(axis=(0, 1)))
     traces = trace_of_vec(coeffs @ vec(rho))
-    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
-    eps_c = model.h_cold.epsilon
-    eps_h = model.h_hot.epsilon
-    work = complex((traces * (steps[:, None] * eps_c + steps[None, :] * eps_h)).sum())
-    heat = complex((traces * (-steps[None, :] * eps_h)).sum())
+    work, heat = (complex((traces * inc).sum()) for inc in cycle_increments(model))
     for name, total in (("work", work), ("heat", heat)):
         if abs(total.imag) > 1e-12:
             raise RuntimeError(
@@ -223,10 +195,10 @@ def derive_timed_config(config: EngineConfig, t1: float, t2: float) -> EngineCon
 
 
 def asymptotic_power(
-    engine: EngineConfig, kind: str, t1: float, t2: float
+    engine: EngineConfig, scheme: str, t1: float, t2: float
 ) -> float:
     """Asymptotic output power -<W>/(T1 + T2); negative values mark a dud."""
-    work, _ = asymptotic_work_heat(derive_timed_config(engine, t1, t2), kind)
+    work, _ = asymptotic_work_heat(derive_timed_config(engine, t1, t2), scheme)
     return -work / (t1 + t2)
 
 

@@ -29,6 +29,7 @@ from .asymptotics import (
 )
 from .config import KEY_SPECS, ConfigError, load_engine_config
 from .engine import (
+    READOUTS,
     SCHEMES,
     EngineConfig,
     EngineModel,
@@ -410,15 +411,15 @@ class SweepSpec:
 
 
 def _sweep_value(
-    model: EngineModel, kind: str, quantity: str, t1: float, t2: float,
+    model: EngineModel, scheme: str, quantity: str, t1: float, t2: float,
     cycles: int | None,
 ) -> float | None:
     if quantity == "lambda2":
-        return spectrum(build_cycle_superoperator(model, kind)).lambda2
+        return spectrum(build_cycle_superoperator(model, scheme)).lambda2
     if cycles is None:
-        work, heat = asymptotic_work_heat(model, kind)
+        work, heat = asymptotic_work_heat(model, scheme)
     else:
-        final = moment_series(model, "RM" if kind == "RM" else "RC2", cycles)[-1]
+        final = moment_series(model, scheme, cycles)[-1]
         work, heat = final.mean_work / cycles, final.mean_heat / cycles
     if quantity == "power":
         return power_output(work, t1, t2)
@@ -442,19 +443,20 @@ def run_sweep(config: EngineConfig, sweep: SweepSpec) -> list[dict]:
         for t2 in sweep.t2_values():
             point = build_model(derive_timed_config(config, float(t1), float(t2)))
             row = {"kind": "grid", "t1": float(t1), "t2": float(t2)}
-            for kind in ("RM", "RC"):
-                row[f"value_{kind.lower()}"] = _sweep_value(
-                    point, kind, sweep.quantity, float(t1), float(t2), sweep.cycles
+            for label, scheme in READOUTS:
+                row[f"value_{label.lower()}"] = _sweep_value(
+                    point, scheme, sweep.quantity, float(t1), float(t2), sweep.cycles
                 )
             rows.append(row)
-    for kind in ("rm", "rc"):
+    for label, _ in READOUTS:
+        key = f"value_{label.lower()}"
         best = max(
-            (row for row in rows if row[f"value_{kind}"] is not None),
-            key=lambda row: row[f"value_{kind}"],
+            (row for row in rows if row[key] is not None),
+            key=lambda row: row[key],
             default=None,
         )
         if best is not None:
-            rows.append({**best, "kind": f"argmax_{kind}"})
+            rows.append({**best, "kind": f"argmax_{label.lower()}"})
     return rows
 
 
@@ -484,9 +486,9 @@ def cmd_asymptotic(args) -> int:
     model = build_model(config)
     t1, t2 = _durations(config)
     rows = []
-    for kind in ("RM", "RC"):
-        work, heat = asymptotic_work_heat(model, kind)
-        lam2 = spectrum(build_cycle_superoperator(model, kind)).lambda2
+    for label, scheme in READOUTS:
+        work, heat = asymptotic_work_heat(model, scheme)
+        lam2 = spectrum(build_cycle_superoperator(model, scheme)).lambda2
         power = (
             power_output(work, t1, t2)
             if t1 is not None and t2 is not None
@@ -494,7 +496,7 @@ def cmd_asymptotic(args) -> int:
         )
         rows.append(
             {
-                "kind": kind,
+                "kind": label,
                 "work_per_cycle": work,
                 "heat_per_cycle": heat,
                 "efficiency": None if heat == 0.0 else -work / heat,

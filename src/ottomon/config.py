@@ -6,6 +6,7 @@ the same name; parse -> serialize -> parse is idempotent.
 """
 from __future__ import annotations
 
+import cmath
 import configparser
 import io
 from dataclasses import dataclass
@@ -137,6 +138,9 @@ def apply_overrides(
 
 def to_engine_config(values: dict[str, Any]) -> EngineConfig:
     """Build a validated engine configuration from typed values."""
+    for key, value in values.items():
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise ConfigError(f"{key} must be finite (got {value!r})")
     stroke_mode = values["stroke"]
     if stroke_mode == "direct":
         stroke = DirectStroke(alpha=values["alpha"], phi=values["phi"])

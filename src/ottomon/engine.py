@@ -36,6 +36,9 @@ from .thermal import (
 )
 
 SCHEMES = ("RM", "RC1", "RC2")
+# Output label of each readout paired with the scheme whose cycle map it
+# shows: one and two accumulated pointers share one map.
+READOUTS = (("RM", "RM"), ("RC", "RC2"))
 OBSERVABLES = ("work", "heat")
 INIT_KINDS = ("invariant", "gibbs_cold", "generalized_gibbs_cold", "custom")
 # Largest per-cycle work-lattice increment on either axis.
@@ -322,6 +325,18 @@ def tilted_cycle_coefficients(model: EngineModel, scheme: str) -> np.ndarray:
         moved = apply_contact(coeffs, 2 + axis, power, overlap)
         coeffs = np.tensordot(stroke, moved, axes=1)
     return coeffs.transpose(2, 3, 0, 1)
+
+
+def cycle_increments(model: EngineModel) -> tuple[np.ndarray, np.ndarray]:
+    """Work and heat increments of the tilted-map coefficients G[a, b].
+
+    Returns the 5x5 arrays a*eps_c + b*eps_h and -b*eps_h, indexed like the
+    first two axes of :func:`tilted_cycle_coefficients`.
+    """
+    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
+    work = steps[:, None] * model.h_cold.epsilon + steps[None, :] * model.h_hot.epsilon
+    heat = np.broadcast_to(-steps[None, :] * model.h_hot.epsilon, work.shape)
+    return work, heat
 
 
 def work_variance(scheme: str, cycles: int, sigma: float) -> float:

@@ -17,14 +17,15 @@ import numpy as np
 
 from .asymptotics import prepare_initial_state, resolve_initial_state
 from .engine import (
-    MAX_SHIFT,
     OBSERVABLES,
+    READOUTS,
     SCHEMES,
     EngineConfig,
     EngineModel,
     LindbladThermo,
     PerfectThermo,
     build_model,
+    cycle_increments,
     fold_required,
     heat_variance,
     joint_covariance,
@@ -102,6 +103,15 @@ def _chain_moments(
     return MomentSet(mean_work, mean_heat, second_work, second_heat, float(cross))
 
 
+def _with_pointer_terms(base: MomentSet, scheme: str, sigma: float) -> MomentSet:
+    """Zero-width single-cycle moments plus the mixture widths of a readout."""
+    return base._replace(
+        second_work=base.second_work + work_variance(scheme, 1, sigma),
+        second_heat=base.second_heat + heat_variance(scheme, 1, sigma),
+        cross=base.cross + float(joint_covariance(scheme, 1, sigma)[0, 1]),
+    )
+
+
 def analytic_moments_perfect(engine: EngineConfig | EngineModel) -> MomentSet:
     """Single-cycle moments for perfect thermalization at zero pointer width.
 
@@ -146,22 +156,9 @@ def perfect_readout_moments(
     if abs(target_cold.q) > 0 or abs(target_hot.q) > 0:
         return None
     base = analytic_moments_perfect(model)
-    sig2 = config.sigma**2
     return {
-        "RM": MomentSet(
-            base.mean_work,
-            base.mean_heat,
-            base.second_work + 4.0 * sig2,
-            base.second_heat + 2.0 * sig2,
-            base.cross - 2.0 * sig2,
-        ),
-        "RC": MomentSet(
-            base.mean_work,
-            base.mean_heat,
-            base.second_work + sig2,
-            base.second_heat + sig2,
-            base.cross,
-        ),
+        label: _with_pointer_terms(base, scheme, config.sigma)
+        for label, scheme in READOUTS
     }
 
 
@@ -200,21 +197,14 @@ def analytic_moments_lindblad(
     coherence = float(np.exp(-thermo.gamma * theta) * np.cos(2.0 * (theta + phi)))
     osc_mean = -4.0 * config.eps_c * alpha * (1.0 - alpha) * (1.0 - 2.0 * d_init)
     osc_second = -8.0 * config.eps_c**2 * alpha * (1.0 - alpha)
-    rm = MomentSet(
-        mean_work=base.mean_work,
-        mean_heat=base.mean_heat,
-        second_work=base.second_work + 4.0 * sigma**2,
-        second_heat=base.second_heat + 2.0 * sigma**2,
-        cross=base.cross - 2.0 * sigma**2,
-    )
-    rc = MomentSet(
+    interfered = base._replace(
         mean_work=base.mean_work + osc_mean * coherence,
-        mean_heat=base.mean_heat,
-        second_work=base.second_work + osc_second * coherence + sigma**2,
-        second_heat=base.second_heat + sigma**2,
-        cross=base.cross,
+        second_work=base.second_work + osc_second * coherence,
     )
-    return {"RM": rm, "RC": rc}
+    return {
+        "RM": _with_pointer_terms(base, "RM", sigma),
+        "RC": _with_pointer_terms(interfered, "RC2", sigma),
+    }
 
 
 def efficiency(moments: MomentSet) -> float | None:
@@ -271,9 +261,7 @@ def moment_series(
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
     require_sector_separation(model, scheme)
     coeffs = tilted_cycle_coefficients(model, scheme)
-    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
-    x = steps[:, None] * model.h_cold.epsilon + steps[None, :] * model.h_hot.epsilon
-    q = np.broadcast_to(-steps[None, :] * model.h_hot.epsilon, x.shape)
+    x, q = cycle_increments(model)
 
     def weighted(increment: np.ndarray) -> np.ndarray:
         return np.einsum("ab,abij->ij", increment, coeffs)

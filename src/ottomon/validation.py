@@ -25,6 +25,7 @@ from .asymptotics import (
 )
 from .engine import (
     OBSERVABLES,
+    READOUTS,
     SCHEMES,
     EngineConfig,
     EngineModel,
@@ -162,8 +163,8 @@ def _check_channel_properties(model: EngineModel) -> list[CheckResult]:
     rng = np.random.default_rng(7)
     rhos = _random_density_matrices(50, rng)
     results = []
-    for kind in ("RM", "RC"):
-        sop = build_cycle_superoperator(model, kind).matrix
+    for label, scheme in READOUTS:
+        sop = build_cycle_superoperator(model, scheme)
         trace_dev = 0.0
         min_eig = np.inf
         for rho in rhos:
@@ -173,11 +174,11 @@ def _check_channel_properties(model: EngineModel) -> list[CheckResult]:
             eigs = np.linalg.eigvalsh(0.5 * (out + out.conj().T))
             min_eig = min(min_eig, float(eigs.min()))
         results.append(
-            _compare(f"trace_preservation_{kind.lower()}", trace_dev, TRACE_TOL)
+            _compare(f"trace_preservation_{label.lower()}", trace_dev, TRACE_TOL)
         )
         results.append(
             _compare(
-                f"positivity_preservation_{kind.lower()}",
+                f"positivity_preservation_{label.lower()}",
                 max(0.0, -min_eig),
                 1e-12,
                 "smallest output eigenvalue across random inputs",
@@ -249,15 +250,15 @@ def _check_analytic_moments(
     table = enumerate_branches(model, 1, initial=initial)
     eps = (model.h_cold.epsilon, model.h_hot.epsilon)
     results = []
-    for key, scheme in (("RM", "RM"), ("RC", "RC2")):
+    for label, scheme in READOUTS:
         points, weights = point_weights(table, scheme, "joint")
         mix = mixture_from_points(
             points, weights, scheme, "joint", 1, model.sigma, *eps
         )
         results.append(
             _compare(
-                f"analytic_moments_{key.lower()}",
-                _moment_deviation(mix.moments(), expected[key]),
+                f"analytic_moments_{label.lower()}",
+                _moment_deviation(mix.moments(), expected[label]),
                 tolerance,
                 detail,
             )
@@ -360,10 +361,10 @@ def _check_spectra(model: EngineModel) -> list[CheckResult]:
     dissipationless = (
         isinstance(thermo, LindbladThermo) and thermo.gamma * thermo.theta == 0.0
     )
-    for kind in ("RM", "RC"):
-        sop = build_cycle_superoperator(model, kind)
+    for label, scheme in READOUTS:
+        sop = build_cycle_superoperator(model, scheme)
         report = spectrum(sop)
-        suffix = kind.lower()
+        suffix = label.lower()
         results.append(
             _compare(
                 f"spectral_radius_{suffix}",
@@ -377,7 +378,7 @@ def _check_spectra(model: EngineModel) -> list[CheckResult]:
             degenerate = False
         except DegenerateFixedPointError:
             degenerate = True
-        if dissipationless and kind == "RC":
+        if dissipationless and scheme != "RM":
             status = "pass" if degenerate else "fail"
             results.append(
                 CheckResult(
@@ -388,7 +389,7 @@ def _check_spectra(model: EngineModel) -> list[CheckResult]:
             )
         elif dissipationless:
             # Contact dephasing still contracts at positive pointer width, so
-            # either outcome is legitimate for the monitored kind here.
+            # either outcome is legitimate for per-stroke readout here.
             detail = "degenerate" if degenerate else "contracted by readout alone"
             results.append(
                 CheckResult(f"fixed_point_{suffix}", "pass", detail=detail)

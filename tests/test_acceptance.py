@@ -24,6 +24,7 @@ from ottomon.asymptotics import (
 )
 from ottomon.engine import (
     OBSERVABLES,
+    READOUTS,
     SCHEMES,
     DirectStroke,
     EngineConfig,
@@ -295,15 +296,15 @@ def test_criterion_08_geometric_convergence_to_fixed_point(
 ):
     series, elapsed = cumulative_series
     assert elapsed < 120.0
-    for scheme, kind in (("RM", "RM"), ("RC2", "RC")):
+    for _, scheme in READOUTS:
         rows = series[scheme]
         totals = np.array([n * mean for n, mean, _ in rows])
         # The cumulative mean carries an O(1/N) transient from the early
         # cycles, so the geometric approach to the per-cycle limit shows in
         # the increments of the accumulated record.
         increments = np.diff(np.concatenate(([0.0], totals)))
-        w_inf = asymptotic_work_heat(default_config, kind)[0]
-        lam2 = spectrum(build_cycle_superoperator(default_config, kind)).lambda2
+        w_inf = asymptotic_work_heat(default_config, scheme)[0]
+        lam2 = spectrum(build_cycle_superoperator(default_config, scheme)).lambda2
         ratio = fit_geometric_ratio(increments - w_inf)
         assert ratio == pytest.approx(lam2, rel=0.05), scheme
         assert abs(increments[-1] - w_inf) <= 1e-6, scheme
@@ -368,8 +369,8 @@ def test_criterion_10_distribution_and_channel_properties(
     for t1 in np.linspace(0.5, 20.0, 10):
         for t2 in np.linspace(0.5, 100.0, 10):
             point = derive_timed_config(base, float(t1), float(t2))
-            for kind in ("RM", "RC"):
-                sop = build_cycle_superoperator(point, kind)
+            for _, scheme in READOUTS:
+                sop = build_cycle_superoperator(point, scheme)
                 report = spectrum(sop)
                 assert abs(report.eigenvalues[0]) == pytest.approx(1.0, abs=1e-10)
                 assert abs(report.eigenvalues[1]) < 1.0 - 1e-6

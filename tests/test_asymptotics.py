@@ -12,6 +12,7 @@ from ottomon import (
     LandauZenerStroke,
     LindbladThermo,
     PerfectThermo,
+    READOUTS,
     ThermalState,
     asymptotic_power,
     asymptotic_work_heat,
@@ -39,34 +40,39 @@ WORK_INF_RC = 0.06335801543518332
 HEAT_INF_RM = 0.058520666107113706
 HEAT_INF_RC = -0.002480208644320969
 
+# One case per readout label, run on the scheme whose map it shows.
+over_readouts = pytest.mark.parametrize(
+    "scheme", [scheme for _, scheme in READOUTS], ids=[label for label, _ in READOUTS]
+)
 
-@pytest.mark.parametrize("kind", ["RM", "RC"])
+
+@over_readouts
 def test_cycle_superoperator_is_trace_preserving_and_contractive(
-    default_config, kind
+    default_config, scheme
 ) -> None:
-    sop = build_cycle_superoperator(default_config, kind)
-    assert_allclose(TRACE_VEC @ sop.matrix, TRACE_VEC, atol=1e-12)
-    eigenvalues = np.linalg.eigvals(sop.matrix)
+    sop = build_cycle_superoperator(default_config, scheme)
+    assert_allclose(TRACE_VEC @ sop, TRACE_VEC, atol=1e-12)
+    eigenvalues = np.linalg.eigvals(sop)
     assert np.abs(eigenvalues).max() <= 1.0 + 1e-10
 
 
-@pytest.mark.parametrize("kind", ["RM", "RC"])
-def test_invariant_state_agrees_with_power_iteration(default_config, kind) -> None:
-    sop = build_cycle_superoperator(default_config, kind)
+@over_readouts
+def test_invariant_state_agrees_with_power_iteration(default_config, scheme) -> None:
+    sop = build_cycle_superoperator(default_config, scheme)
     rho = invariant_state(sop)
-    assert_allclose(unvec(sop.matrix @ vec(rho)), rho, atol=1e-12)
+    assert_allclose(unvec(sop @ vec(rho)), rho, atol=1e-12)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert_allclose(rho, rho.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(rho).min() > -1e-12
     iterated = vec(np.eye(2, dtype=complex) / 2.0)
     for _ in range(10_000):
-        iterated = sop.matrix @ iterated
+        iterated = sop @ iterated
     assert_allclose(unvec(iterated), rho, atol=1e-10)
 
 
 def test_perfect_thermalization_collapses_in_one_cycle() -> None:
     config = EngineConfig(thermo=PerfectThermo(beta_c=0.25, beta_h=0.025))
-    sop = build_cycle_superoperator(config, "RC")
+    sop = build_cycle_superoperator(config, "RC2")
     assert spectrum(sop).lambda2 < 1e-12
     model = build_model(config)
     assert_allclose(
@@ -75,8 +81,8 @@ def test_perfect_thermalization_collapses_in_one_cycle() -> None:
 
 
 @pytest.mark.parametrize("gamma", [0.025, 0.5])
-@pytest.mark.parametrize("kind", ["RM", "RC"])
-def test_invariant_state_is_exact_for_coherent_perfect_targets(gamma, kind) -> None:
+@over_readouts
+def test_invariant_state_is_exact_for_coherent_perfect_targets(gamma, scheme) -> None:
     # Perfect thermalization ends every cycle in the cold target, whose
     # finite-coupling coherence an eigenvector normalization got wrong.
     config = EngineConfig(
@@ -85,7 +91,7 @@ def test_invariant_state_is_exact_for_coherent_perfect_targets(gamma, kind) -> N
         )
     )
     model = build_model(config)
-    rho = invariant_state(build_cycle_superoperator(model, kind))
+    rho = invariant_state(build_cycle_superoperator(model, scheme))
     assert_allclose(rho, model.cold_channel.target.matrix, atol=1e-12)
 
 
@@ -94,7 +100,7 @@ def test_zero_thermal_contact_is_degenerate_only_without_readout() -> None:
         thermo=LindbladThermo(beta_c=0.25, beta_h=0.025, gamma=0.025, theta=0.0)
     )
     with pytest.raises(DegenerateFixedPointError):
-        invariant_state(build_cycle_superoperator(config, "RC"))
+        invariant_state(build_cycle_superoperator(config, "RC2"))
     # per-stroke readout dephases the state, which is dissipation enough to
     # single out a fixed point even without any thermal contact
     invariant_state(build_cycle_superoperator(config, "RM"))
@@ -102,13 +108,13 @@ def test_zero_thermal_contact_is_degenerate_only_without_readout() -> None:
 
 def test_wide_pointers_remove_the_readout_backaction(default_config) -> None:
     config = EngineConfig(sigma=1e8)
-    rm = build_cycle_superoperator(config, "RM").matrix
-    rc = build_cycle_superoperator(config, "RC").matrix
+    rm = build_cycle_superoperator(config, "RM")
+    rc = build_cycle_superoperator(config, "RC2")
     assert_allclose(rm, rc, atol=1e-12)
 
 
 def test_zero_width_pointers_project_out_all_coherences() -> None:
-    matrix = build_cycle_superoperator(EngineConfig(sigma=0.0), "RM").matrix
+    matrix = build_cycle_superoperator(EngineConfig(sigma=0.0), "RM")
     assert np.abs(matrix[1, :]).max() == 0.0
     assert np.abs(matrix[2, :]).max() == 0.0
     assert np.abs(matrix[:, 1]).max() == 0.0
@@ -117,7 +123,7 @@ def test_zero_width_pointers_project_out_all_coherences() -> None:
 
 def test_spectrum_reference_values_and_ordering(default_config) -> None:
     rm = spectrum(build_cycle_superoperator(default_config, "RM"))
-    rc = spectrum(build_cycle_superoperator(default_config, "RC"))
+    rc = spectrum(build_cycle_superoperator(default_config, "RC2"))
     for report in (rm, rc):
         assert report.eigenvalues.shape == (4,)
         assert abs(report.eigenvalues[0]) == pytest.approx(1.0, abs=1e-10)
@@ -129,41 +135,43 @@ def test_spectrum_reference_values_and_ordering(default_config) -> None:
     long_contact = EngineConfig(
         thermo=LindbladThermo(beta_c=0.25, beta_h=0.025, gamma=0.025, theta=400.0)
     )
-    assert spectrum(build_cycle_superoperator(long_contact, "RC")).lambda2 < 1e-3
+    assert spectrum(build_cycle_superoperator(long_contact, "RC2")).lambda2 < 1e-3
 
 
-def test_kind_labels_are_case_insensitive_with_pointer_aliases(default_config) -> None:
-    reference = build_cycle_superoperator(default_config, "RC").matrix
-    for alias in ("rc", "RC1", "rc2"):
-        assert_allclose(
-            build_cycle_superoperator(default_config, alias).matrix, reference, atol=0.0
-        )
-    with pytest.raises(ValueError):
-        build_cycle_superoperator(default_config, "RX")
+def test_rc1_and_rc2_share_one_map_and_unknown_schemes_are_refused(
+    default_config,
+) -> None:
+    reference = build_cycle_superoperator(default_config, "RC2")
+    assert_allclose(
+        build_cycle_superoperator(default_config, "RC1"), reference, atol=0.0
+    )
+    for label in ("RC", "rc2", "RX"):
+        with pytest.raises(ValueError):
+            build_cycle_superoperator(default_config, label)
 
 
 def test_asymptotic_work_reference_values(default_config) -> None:
     assert asymptotic_work_heat(default_config, "RM")[0] == pytest.approx(
         WORK_INF_RM, abs=1e-12
     )
-    assert asymptotic_work_heat(default_config, "RC")[0] == pytest.approx(
+    assert asymptotic_work_heat(default_config, "RC2")[0] == pytest.approx(
         WORK_INF_RC, abs=1e-12
     )
     assert asymptotic_work_heat(default_config, "RM")[1] == pytest.approx(
         HEAT_INF_RM, abs=1e-12
     )
-    assert asymptotic_work_heat(default_config, "RC")[1] == pytest.approx(
+    assert asymptotic_work_heat(default_config, "RC2")[1] == pytest.approx(
         HEAT_INF_RC, abs=1e-12
     )
 
 
-def _contact_energy_bookkeeping(config: EngineConfig, kind: str) -> tuple[float, float]:
+def _contact_energy_bookkeeping(config: EngineConfig, scheme: str) -> tuple[float, float]:
     """Mean work and hot heat from the level signs at the four contacts."""
     model = build_model(config)
-    sop = build_cycle_superoperator(model, kind)
+    sop = build_cycle_superoperator(model, scheme)
     rho = vec(invariant_state(sop))
-    w_cold = contact_suppression(config.eps_c, config.sigma) if kind == "RM" else 1.0
-    w_hot = contact_suppression(config.eps_h, config.sigma) if kind == "RM" else 1.0
+    w_cold = contact_suppression(config.eps_c, config.sigma) if scheme == "RM" else 1.0
+    w_hot = contact_suppression(config.eps_h, config.sigma) if scheme == "RM" else 1.0
     strokes = (
         (w_cold, conjugation(model.forward_unitary)),
         (w_hot, model.hot_channel.superoperator()),
@@ -179,7 +187,7 @@ def _contact_energy_bookkeeping(config: EngineConfig, kind: str) -> tuple[float,
     return work, heat
 
 
-@pytest.mark.parametrize("kind", ["RM", "RC"])
+@over_readouts
 @pytest.mark.parametrize(
     "config",
     [
@@ -189,9 +197,9 @@ def _contact_energy_bookkeeping(config: EngineConfig, kind: str) -> tuple[float,
     ],
     ids=["direct", "landau_zener", "perfect_gibbs"],
 )
-def test_asymptotic_work_heat_match_contact_energy_bookkeeping(config, kind) -> None:
-    work, heat = asymptotic_work_heat(config, kind)
-    expected_work, expected_heat = _contact_energy_bookkeeping(config, kind)
+def test_asymptotic_work_heat_match_contact_energy_bookkeeping(config, scheme) -> None:
+    work, heat = asymptotic_work_heat(config, scheme)
+    expected_work, expected_heat = _contact_energy_bookkeeping(config, scheme)
     assert work == pytest.approx(expected_work, abs=1e-12)
     assert heat == pytest.approx(expected_heat, abs=1e-12)
 
@@ -203,8 +211,8 @@ def test_asymptotic_work_perfect_zero_width_equals_chain_mean() -> None:
         thermo=PerfectThermo(beta_c=0.25, beta_h=0.025),
     )
     chain = analytic_moments_perfect(config)
-    for kind in ("RM", "RC"):
-        assert asymptotic_work_heat(config, kind)[0] == pytest.approx(
+    for _, scheme in READOUTS:
+        assert asymptotic_work_heat(config, scheme)[0] == pytest.approx(
             chain.mean_work, abs=1e-12
         )
 
@@ -285,17 +293,17 @@ def test_derive_timed_config_resolves_both_strokes(default_config) -> None:
 def test_asymptotic_power_is_work_rate(default_config) -> None:
     t1, t2 = 5.0, 10.0
     timed = derive_timed_config(default_config, t1, t2)
-    for kind in ("RM", "RC"):
-        expected = -asymptotic_work_heat(timed, kind)[0] / (t1 + t2)
-        assert asymptotic_power(default_config, kind, t1, t2) == pytest.approx(
+    for _, scheme in READOUTS:
+        expected = -asymptotic_work_heat(timed, scheme)[0] / (t1 + t2)
+        assert asymptotic_power(default_config, scheme, t1, t2) == pytest.approx(
             expected, abs=1e-14
         )
 
 
 def test_initial_state_kinds(default_config) -> None:
     invariant = initial_state(default_config)
-    rc = build_cycle_superoperator(default_config, "RC")
-    assert_allclose(unvec(rc.matrix @ vec(invariant)), invariant, atol=1e-12)
+    rc = build_cycle_superoperator(default_config, "RC2")
+    assert_allclose(unvec(rc @ vec(invariant)), invariant, atol=1e-12)
     gibbs = initial_state(EngineConfig(init="gibbs_cold"))
     assert gibbs[1, 1].real == pytest.approx(gibbs_population(0.25, 1.0))
     assert abs(gibbs[0, 1]) == 0.0

@@ -17,7 +17,8 @@ from ottomon.asymptotics import (
     thermal_duration_from_theta,
 )
 from ottomon.cli import main
-from ottomon.engine import EngineConfig, LandauZenerStroke
+from ottomon.config import KEY_SPECS
+from ottomon.engine import READOUTS, EngineConfig, LandauZenerStroke
 from ottomon.lattice import joint_via_lattice
 from ottomon.mixtures import GaussianMixture1D
 from ottomon.moments import power_output, work_per_cycle_series
@@ -298,8 +299,8 @@ def test_sweep_single_point_matches_library_routes(capsys):
     assert kinds == ["grid", "argmax_rm", "argmax_rc"]
     base = EngineConfig(stroke=LandauZenerStroke(t1=5.0))
     point = derive_timed_config(base, 5.0, 10.0)
-    for kind, name in (("RM", "value_rm"), ("RC", "value_rc")):
-        expected = power_output(asymptotic_work_heat(point, kind)[0], 5.0, 10.0)
+    for scheme, name in (("RM", "value_rm"), ("RC2", "value_rc")):
+        expected = power_output(asymptotic_work_heat(point, scheme)[0], 5.0, 10.0)
         for row in rows:
             assert float(row[header.index(name)]) == pytest.approx(expected, rel=1e-9)
 
@@ -349,14 +350,15 @@ def test_asymptotic_rows_match_library_values(capsys):
     by_kind = {row[header.index("kind")]: row for row in rows}
     assert set(by_kind) == {"RM", "RC"}
     config = EngineConfig(cycles=5)
-    for kind, row in by_kind.items():
+    for label, scheme in READOUTS:
+        row = by_kind[label]
         work = float(row[header.index("work_per_cycle")])
         lam2 = float(row[header.index("lambda2")])
         assert work == pytest.approx(
-            asymptotic_work_heat(config, kind)[0], rel=1e-10
+            asymptotic_work_heat(config, scheme)[0], rel=1e-10
         )
         assert lam2 == pytest.approx(
-            spectrum(build_cycle_superoperator(config, kind)).lambda2, rel=1e-10
+            spectrum(build_cycle_superoperator(config, scheme)).lambda2, rel=1e-10
         )
         # No stroke duration is configured, so no power is reported.
         assert row[header.index("power")] == ""
@@ -485,3 +487,16 @@ def test_json_floats_round_trip_exactly(capsys):
             text = row[key]
             assert isinstance(text, str)
             assert repr(float(text)) == text
+
+
+NON_FINITE_CASES = [
+    (key, "nan") for key, spec in KEY_SPECS.items() if spec.parse not in (int, str)
+] + [("eps_h", "inf"), ("beta_c", "inf"), ("theta", "inf"), ("sigma", "-inf")]
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE_CASES)
+def test_non_finite_configuration_values_are_refused(capsys, key, value):
+    code, out, err = run_cli(capsys, "moments", f"--{key}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be finite" in err

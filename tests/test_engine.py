@@ -17,6 +17,7 @@ from ottomon.engine import (
     MAX_SHIFT,
     build_model,
     contact_suppression,
+    cycle_increments,
     heat_variance,
     joint_covariance,
     perfect_targets,
@@ -24,6 +25,7 @@ from ottomon.engine import (
     tilted_cycle_coefficients,
     work_variance,
 )
+from ottomon.lattice import mixture_from_points
 from ottomon.oracle import tabulate_cycle_branches
 from ottomon.qubit import StrokeHamiltonian, landau_zener_params
 from ottomon.superop import conjugation
@@ -103,11 +105,11 @@ def test_weighted_branch_sums_reproduce_cycle_superoperators(
 ) -> None:
     rm_total = sum(rm_weight(model, b) * b.superoperator for b in branches)
     assert_allclose(
-        rm_total, build_cycle_superoperator(default_config, "RM").matrix, atol=1e-13
+        rm_total, build_cycle_superoperator(default_config, "RM"), atol=1e-13
     )
     rc_total = sum(b.superoperator for b in branches)
     assert_allclose(
-        rc_total, build_cycle_superoperator(default_config, "RC").matrix, atol=1e-13
+        rc_total, build_cycle_superoperator(default_config, "RC2"), atol=1e-13
     )
 
 
@@ -255,3 +257,17 @@ def test_engine_config_validation() -> None:
         PerfectThermo(beta_c=0.25, beta_h=0.025, targets="boltzmann")
     with pytest.raises(ValueError):
         LindbladThermo(beta_c=0.25, beta_h=0.025, gamma=0.025, theta=-1.0)
+
+
+def test_cycle_increments_match_the_mixture_centers_of_the_lattice_steps(model) -> None:
+    steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
+    a, b = np.meshgrid(steps, steps, indexing="ij")
+    points = np.stack([a.ravel(), b.ravel()], axis=1)
+    weights = np.full(len(points), 1.0 / len(points))
+    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
+    work, heat = cycle_increments(model)
+    assert work.shape == heat.shape == (5, 5)
+    work_mix = mixture_from_points(points, weights, "RM", "work", 1, 0.2, *eps)
+    joint_mix = mixture_from_points(points, weights, "RM", "joint", 1, 0.2, *eps)
+    assert_allclose(work.ravel(), work_mix.centers, atol=0.0)
+    assert_allclose(heat.ravel(), joint_mix.centers[:, 1], atol=0.0)
