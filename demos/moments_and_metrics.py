@@ -50,7 +50,7 @@ def main() -> None:
     print("\nFigures of merit per readout (single cycle):")
     for kind in ("RM", "RC"):
         m = numeric[kind]
-        eta = efficiency(m)
+        eta = efficiency(m.mean_work, m.mean_heat)
         eta_text = f"{eta:+.4f}" if eta is not None else "undefined"
         print(
             f"  {kind}: <W> = {m.mean_work:+.5f}, <Q> = {m.mean_heat:+.5f}, "

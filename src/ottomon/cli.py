@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from .asymptotics import (
 )
 from .config import KEY_SPECS, ConfigError, load_engine_config
 from .engine import (
+    JOINT_SCHEMES,
     READOUTS,
     SCHEMES,
     EngineConfig,
@@ -41,10 +43,9 @@ from .lattice import marginal_via_lattice, mixture_from_points
 from .mixtures import prune_components
 from .moments import (
     MomentSet,
-    analytic_moments_lindblad,
+    closed_form_moments,
     efficiency,
     moment_series,
-    perfect_readout_moments,
     power_output,
     reliability,
 )
@@ -109,6 +110,26 @@ def _emit(args, text: str) -> None:
 
 def _emit_json(args, payload) -> None:
     _emit(args, json.dumps(_jsonify(payload), indent=2) + "\n")
+
+
+def _emit_rows(args, rows: list[dict], payload) -> None:
+    """CSV of the rows, headed by the first row's keys, or the JSON payload."""
+    if args.format == "json":
+        _emit_json(args, payload)
+        return
+    header = list(rows[0])
+    _emit(args, _csv_text(header, [[row[key] for key in header] for row in rows]))
+
+
+def _finite_float(text: str) -> float:
+    """Float flag value, refusing nan and infinities."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite (got {value!r})")
+    return value
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -228,7 +249,7 @@ def cmd_joint(args) -> int:
             "the joint command enumerates branch pairs exhaustively; "
             f"use at most {JOINT_CYCLE_LIMIT} cycles (got {config.cycles})"
         )
-    if config.scheme == "RC1":
+    if config.scheme not in JOINT_SCHEMES:
         raise ConfigError("joint distribution requires two pointers (RM or RC2)")
     table = enumerate_branches(config, config.cycles)
     model = table.model
@@ -238,134 +259,68 @@ def cmd_joint(args) -> int:
         points, weights, config.scheme, "joint", config.cycles, model.sigma, *eps
     )
     order = np.lexsort((mix.centers[:, 1], mix.centers[:, 0]))
-    if args.format == "json":
-        payload = {
-            "scheme": config.scheme,
-            "cycles": config.cycles,
-            "covariance": mix.covariance,
-            "components": [
-                {
-                    "work": float(mix.centers[i, 0]),
-                    "heat": float(mix.centers[i, 1]),
-                    "weight": float(mix.weights[i]),
-                }
-                for i in order
-            ],
-        }
-        _emit_json(args, payload)
-        return 0
     rows = [
-        [mix.centers[i, 0], mix.centers[i, 1], mix.weights[i]] for i in order
+        {"work": mix.centers[i, 0], "heat": mix.centers[i, 1], "weight": mix.weights[i]}
+        for i in order
     ]
-    _emit(args, _csv_text(["work", "heat", "weight"], rows))
+    payload = {
+        "scheme": config.scheme,
+        "cycles": config.cycles,
+        "covariance": mix.covariance,
+        "components": rows,
+    }
+    _emit_rows(args, rows, payload)
     return 0
 
 
-def _durations(config: EngineConfig) -> tuple[float | None, float | None]:
-    t1 = config.stroke.t1 if isinstance(config.stroke, LandauZenerStroke) else None
-    t2 = (
-        thermal_duration_from_theta(
-            config.thermo.theta, config.eps_c, config.eps_h
-        )
-        if isinstance(config.thermo, LindbladThermo)
-        else None
-    )
-    return t1, t2
-
-
-def _numeric_moments(model: EngineModel) -> dict[str, tuple[MomentSet, bool]]:
-    """Mixture moments per scheme after the configured cycles.
-
-    Each entry flags whether the scheme has a joint (work, heat) record.
-    """
-    cycles = model.config.cycles
-    rho0 = initial_state(model.config, model)
-    return {
-        scheme: (moment_series(model, scheme, cycles, rho0)[-1], scheme != "RC1")
-        for scheme in SCHEMES
-    }
-
-
-def _analytic_moments(model: EngineModel) -> dict[str, MomentSet] | None:
-    """Single-cycle closed forms when the configuration admits them."""
-    config = model.config
-    if config.cycles != 1:
+def _power(config: EngineConfig, work: float) -> float | None:
+    """Power of a per-cycle mean work, when the config sets both durations."""
+    if not (
+        isinstance(config.stroke, LandauZenerStroke)
+        and isinstance(config.thermo, LindbladThermo)
+    ):
         return None
-    if isinstance(config.thermo, LindbladThermo):
-        rho0 = initial_state(config, model)
-        return analytic_moments_lindblad(model, np.diag(np.diag(rho0)))
-    return perfect_readout_moments(model)
+    t2 = thermal_duration_from_theta(config.thermo.theta, config.eps_c, config.eps_h)
+    return power_output(work, config.stroke.t1, t2)
+
+
+def _moment_columns(m: MomentSet, joint: bool, heat: bool) -> dict:
+    """Moment cells of a row; the covariance needs a joint record and the
+    heat cells a heat form, or they stay empty."""
+    return {
+        "mean_work": m.mean_work,
+        "mean_heat": m.mean_heat if heat else None,
+        "var_work": m.work_variance,
+        "var_heat": m.heat_variance if heat else None,
+        "cov_work_heat": m.cross - m.mean_work * m.mean_heat if joint else None,
+        "efficiency": efficiency(m.mean_work, m.mean_heat) if heat else None,
+        "reliability": reliability(m),
+    }
 
 
 def cmd_moments(args) -> int:
     config = _load_config(args)
     model = build_model(config)
-    analytic = _analytic_moments(model)
-    t1, t2 = _durations(config)
+    rho0 = initial_state(config, model)
+    forms = closed_form_moments(model, rho0)[0] if config.cycles == 1 else None
     rows = []
-    for scheme, (numeric, has_joint) in _numeric_moments(model).items():
-        eta = efficiency(numeric)
-        rel = reliability(numeric)
-        power = (
-            power_output(numeric.mean_work / config.cycles, t1, t2)
-            if t1 is not None and t2 is not None
-            else None
-        )
-        row: dict = {
-            "scheme": scheme,
-            "cycles": config.cycles,
-            "mean_work": numeric.mean_work,
-            "mean_heat": numeric.mean_heat,
-            "var_work": numeric.work_variance,
-            "var_heat": numeric.heat_variance,
-            "cov_work_heat": (
-                numeric.cross - numeric.mean_work * numeric.mean_heat
-                if has_joint
-                else None
-            ),
-            "efficiency": eta,
-            "reliability": rel,
-            "power": power,
-        }
-        ana = analytic.get("RM" if scheme == "RM" else "RC") if analytic else None
-        if ana is not None:
-            # The closed heat forms describe per-stroke readout and the
-            # two-pointer accumulation; a lone heat pointer keeps extra
-            # interference, so its heat columns stay empty.
-            heat_form = scheme != "RC1"
-            row.update(
-                {
-                    "analytic_mean_work": ana.mean_work,
-                    "analytic_mean_heat": ana.mean_heat if heat_form else None,
-                    "analytic_var_work": ana.work_variance,
-                    "analytic_var_heat": ana.heat_variance if heat_form else None,
-                    "analytic_cov_work_heat": (
-                        ana.cross - ana.mean_work * ana.mean_heat
-                        if has_joint
-                        else None
-                    ),
-                    "analytic_efficiency": efficiency(ana) if heat_form else None,
-                    "analytic_reliability": reliability(ana),
-                }
-            )
+    for scheme in SCHEMES:
+        numeric = moment_series(model, scheme, config.cycles, rho0)[-1]
+        joint = scheme in JOINT_SCHEMES
+        cells = _moment_columns(numeric, joint, heat=True)
+        row = {"scheme": scheme, "cycles": config.cycles, **cells}
+        row["power"] = _power(config, numeric.mean_work / config.cycles)
+        # The closed heat forms describe per-stroke readout and the
+        # two-pointer accumulation; a lone heat pointer keeps extra
+        # interference, so its heat cells stay empty.
+        if forms:
+            form = forms["RM" if scheme == "RM" else "RC"]
+            cells = _moment_columns(form, joint, heat=joint)
+            row.update({f"analytic_{key}": value for key, value in cells.items()})
         else:
-            row.update(
-                {key: None for key in (
-                    "analytic_mean_work",
-                    "analytic_mean_heat",
-                    "analytic_var_work",
-                    "analytic_var_heat",
-                    "analytic_cov_work_heat",
-                    "analytic_efficiency",
-                    "analytic_reliability",
-                )}
-            )
+            row.update(dict.fromkeys(f"analytic_{key}" for key in cells))
         rows.append(row)
-    header = list(rows[0].keys())
-    if args.format == "json":
-        _emit_json(args, {"moments": rows})
-        return 0
-    _emit(args, _csv_text(header, [[row[key] for key in header] for row in rows]))
+    _emit_rows(args, rows, {"moments": rows})
     return 0
 
 
@@ -423,7 +378,7 @@ def _sweep_value(
         work, heat = final.mean_work / cycles, final.mean_heat / cycles
     if quantity == "power":
         return power_output(work, t1, t2)
-    return None if heat == 0.0 else -work / heat
+    return efficiency(work, heat)
 
 
 def run_sweep(config: EngineConfig, sweep: SweepSpec) -> list[dict]:
@@ -473,43 +428,28 @@ def cmd_sweep(args) -> int:
         at=args.at,
     )
     rows = run_sweep(config, sweep)
-    header = ["kind", "t1", "t2", "value_rm", "value_rc"]
-    if args.format == "json":
-        _emit_json(args, {"quantity": sweep.quantity, "rows": rows})
-        return 0
-    _emit(args, _csv_text(header, [[row[key] for key in header] for row in rows]))
+    _emit_rows(args, rows, {"quantity": sweep.quantity, "rows": rows})
     return 0
 
 
 def cmd_asymptotic(args) -> int:
     config = _load_config(args)
     model = build_model(config)
-    t1, t2 = _durations(config)
     rows = []
     for label, scheme in READOUTS:
         work, heat = asymptotic_work_heat(model, scheme)
-        lam2 = spectrum(build_cycle_superoperator(model, scheme)).lambda2
-        power = (
-            power_output(work, t1, t2)
-            if t1 is not None and t2 is not None
-            else None
-        )
         rows.append(
             {
                 "kind": label,
                 "work_per_cycle": work,
                 "heat_per_cycle": heat,
-                "efficiency": None if heat == 0.0 else -work / heat,
-                "lambda2": lam2,
-                "power": power,
+                "efficiency": efficiency(work, heat),
+                "lambda2": spectrum(build_cycle_superoperator(model, scheme)).lambda2,
+                "power": _power(config, work),
                 "dud": work > 0.0,
             }
         )
-    header = list(rows[0].keys())
-    if args.format == "json":
-        _emit_json(args, {"asymptotic": rows})
-        return 0
-    _emit(args, _csv_text(header, [[row[key] for key in header] for row in rows]))
+    _emit_rows(args, rows, {"asymptotic": rows})
     return 0
 
 
@@ -524,10 +464,7 @@ def cmd_lz(args) -> int:
         raise ConfigError("a positive stroke duration is required (--t1)")
     params = landau_zener_params(config.eps_c, config.eps_h, float(t1))
     row = {"t1": float(t1), "alpha": params.alpha, "phi": params.phi}
-    if args.format == "json":
-        _emit_json(args, row)
-        return 0
-    _emit(args, _csv_text(["t1", "alpha", "phi"], [[row["t1"], row["alpha"], row["phi"]]]))
+    _emit_rows(args, [row], row)
     return 0
 
 
@@ -561,8 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--observable", choices=("work", "heat"), default="work",
         help="which record to tabulate",
     )
-    p_pdf.add_argument("--grid-min", type=float, default=None, help="grid lower bound")
-    p_pdf.add_argument("--grid-max", type=float, default=None, help="grid upper bound")
+    p_pdf.add_argument(
+        "--grid-min", type=_finite_float, default=None, help="grid lower bound"
+    )
+    p_pdf.add_argument(
+        "--grid-max", type=_finite_float, default=None, help="grid upper bound"
+    )
     p_pdf.add_argument(
         "--points", type=int, default=DEFAULT_GRID_POINTS, help="grid point count"
     )
@@ -584,11 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="grid sweep over stroke/thermal durations"
     )
-    p_sweep.add_argument("--t1-min", type=float, default=1.0)
-    p_sweep.add_argument("--t1-max", type=float, default=10.0)
+    p_sweep.add_argument("--t1-min", type=_finite_float, default=1.0)
+    p_sweep.add_argument("--t1-max", type=_finite_float, default=10.0)
     p_sweep.add_argument("--t1-steps", type=int, default=10)
-    p_sweep.add_argument("--t2-min", type=float, default=2.0)
-    p_sweep.add_argument("--t2-max", type=float, default=20.0)
+    p_sweep.add_argument("--t2-min", type=_finite_float, default=2.0)
+    p_sweep.add_argument("--t2-max", type=_finite_float, default=20.0)
     p_sweep.add_argument("--t2-steps", type=int, default=10)
     p_sweep.add_argument(
         "--quantity", choices=("power", "efficiency", "lambda2"), default="power"
@@ -614,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", parents=[common], help="cross-route self-check report"
     )
     p_val.add_argument(
-        "--corrupt-suppression", type=float, default=1.0,
+        "--corrupt-suppression", type=_finite_float, default=1.0,
         help="test hook: exponent applied to readout suppression factors "
         "in the reference route (1.0 = honest)",
     )
@@ -627,9 +568,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,9 @@ SCHEMES = ("RM", "RC1", "RC2")
 # Output label of each readout paired with the scheme whose cycle map it
 # shows: one and two accumulated pointers share one map.
 READOUTS = (("RM", "RM"), ("RC", "RC2"))
+# Schemes with a joint (work, heat) record: a lone accumulated pointer records
+# only one observable.
+JOINT_SCHEMES = ("RM", "RC2")
 OBSERVABLES = ("work", "heat")
 INIT_KINDS = ("invariant", "gibbs_cold", "generalized_gibbs_cold", "custom")
 # Largest per-cycle work-lattice increment on either axis.

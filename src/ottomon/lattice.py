@@ -17,6 +17,7 @@ import numpy as np
 
 from .asymptotics import prepare_initial_state
 from .engine import (
+    JOINT_SCHEMES,
     MAX_SHIFT,
     OBSERVABLES,
     SCHEMES,
@@ -270,6 +271,6 @@ def joint_via_lattice(
     heat -b*eps_h.  A single heat pointer cannot produce a joint record,
     hence the one-pointer scheme is rejected.
     """
-    if scheme == "RC1":
+    if scheme not in JOINT_SCHEMES:
         raise ValueError("joint distribution requires two pointers")
     return _lattice_mixture(engine, scheme, "work", "joint", cycles, initial)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .asymptotics import prepare_initial_state, resolve_initial_state
 from .engine import (
+    JOINT_SCHEMES,
     OBSERVABLES,
     READOUTS,
     SCHEMES,
@@ -26,10 +27,8 @@ from .engine import (
     PerfectThermo,
     build_model,
     cycle_increments,
-    fold_required,
     heat_variance,
     joint_covariance,
-    perfect_targets,
     require_sector_separation,
     tilted_cycle_coefficients,
     work_variance,
@@ -122,15 +121,12 @@ def analytic_moments_perfect(engine: EngineConfig | EngineModel) -> MomentSet:
     config = model.config
     if not isinstance(config.thermo, PerfectThermo):
         raise ValueError("closed form requires perfect thermalization")
-    target_cold, target_hot = perfect_targets(
-        config.thermo, model.h_cold, model.h_hot
-    )
     return _chain_moments(
         eps_c=config.eps_c,
         eps_h=config.eps_h,
         alpha=model.stroke_params.alpha,
-        d_init=target_cold.d,
-        t_hot=1.0 - 2.0 * target_hot.d,
+        d_init=model.cold_channel.target.d,
+        t_hot=1.0 - 2.0 * model.hot_channel.target.d,
         decay=0.0,
     )
 
@@ -150,10 +146,7 @@ def perfect_readout_moments(
     config = model.config
     if not isinstance(config.thermo, PerfectThermo):
         raise ValueError("closed form requires perfect thermalization")
-    target_cold, target_hot = perfect_targets(
-        config.thermo, model.h_cold, model.h_hot
-    )
-    if abs(target_cold.q) > 0 or abs(target_hot.q) > 0:
+    if abs(model.cold_channel.target.q) > 0 or abs(model.hot_channel.target.q) > 0:
         return None
     base = analytic_moments_perfect(model)
     return {
@@ -207,11 +200,27 @@ def analytic_moments_lindblad(
     }
 
 
-def efficiency(moments: MomentSet) -> float | None:
+def closed_form_moments(
+    model: EngineModel, rho0: np.ndarray
+) -> tuple[dict[str, MomentSet] | None, np.ndarray]:
+    """Single-cycle closed forms per readout label and the state they start from.
+
+    Finite-time baths start from the diagonal of ``rho0``, since initial
+    coherences enter only at higher order; perfect thermalization starts from
+    the cold target, the invariant state of its cycle.  The forms are None
+    when a perfect target carries coherence.
+    """
+    if isinstance(model.config.thermo, LindbladThermo):
+        initial = np.diag(np.diag(rho0))
+        return analytic_moments_lindblad(model, initial), initial
+    return perfect_readout_moments(model), model.cold_channel.target.matrix
+
+
+def efficiency(mean_work: float, mean_heat: float) -> float | None:
     """Work output over heat input, None when no heat flows."""
-    if moments.mean_heat == 0.0:
+    if mean_heat == 0.0:
         return None
-    return -moments.mean_work / moments.mean_heat
+    return -mean_work / mean_heat
 
 
 def reliability(moments: MomentSet) -> float:
@@ -285,7 +294,7 @@ def moment_series(
     stack = np.zeros((24, 2), dtype=complex)
     for column, observable in enumerate(OBSERVABLES):
         stack[:4, column] = vec(prepare_initial_state(model, scheme, observable, rho))
-    joint = fold_required(scheme, "work") == fold_required(scheme, "heat")
+    joint = scheme in JOINT_SCHEMES
     sigma = model.sigma
     out = []
     for n in range(1, n_max + 1):
@@ -313,13 +322,8 @@ def work_per_cycle_series(
 ) -> list[tuple[int, float, float]]:
     """Cumulative work statistics per cycle count.
 
-    Returns one row (N, <W>_N / N, R_N) per cycle, where R is the negated
-    mean over the standard deviation of the accumulated work record.
+    Returns one row (N, <W>_N / N, R_N) per cycle, where R_N is the
+    :func:`reliability` of the accumulated work record.
     """
-    rows = []
-    for n, moments in enumerate(moment_series(engine, scheme, n_max, initial), 1):
-        variance = moments.work_variance
-        mean = moments.mean_work
-        rel = -mean / np.sqrt(variance) if variance > 0 else np.inf
-        rows.append((n, mean / n, float(rel)))
-    return rows
+    series = moment_series(engine, scheme, n_max, initial)
+    return [(n, m.mean_work / n, reliability(m)) for n, m in enumerate(series, 1)]

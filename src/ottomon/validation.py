@@ -40,11 +40,7 @@ from .lattice import (
     mixture_from_points,
 )
 from .mixtures import prune_components
-from .moments import (
-    analytic_moments_lindblad,
-    moment_series,
-    perfect_readout_moments,
-)
+from .moments import closed_form_moments, moment_series
 from .oracle import enumerate_branches, point_weights
 from .superop import unvec, vec
 
@@ -136,20 +132,21 @@ def compare_weight_tables(reference: dict, candidate: dict) -> tuple[float, str]
 
     Also reports (in the detail string) any point carrying non-negligible
     weight on one side while absent from the other, which catches center-set
-    mismatches separately from weight drift.
+    mismatches separately from weight drift.  A nan weight on either side
+    makes the deviation nan, which fails every tolerance.
     """
     keys = set(reference) | set(candidate)
-    deviation = 0.0
+    deviations = []
     missing = 0
     for key in keys:
         a = reference.get(key)
         b = candidate.get(key)
-        deviation = max(deviation, abs((a or 0.0) - (b or 0.0)))
+        deviations.append(abs((a or 0.0) - (b or 0.0)))
         present = a if b is None else b
         if (a is None or b is None) and abs(present) > CENTER_FLOOR:
             missing += 1
     detail = f"{missing} significant centers unmatched" if missing else ""
-    return deviation, detail
+    return float(np.max(deviations, initial=0.0)), detail
 
 
 def _random_density_matrices(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,32 +216,28 @@ def _check_oracle_vs_lattice(
 
 
 def _moment_deviation(numeric: tuple[float, ...], analytic: tuple[float, ...]) -> float:
-    dev = 0.0
-    for a, b in zip(numeric, analytic):
-        dev = max(dev, abs(a - b) / max(1.0, abs(b)))
-    return dev
+    """Largest relative moment deviation; nan when either side has a nan."""
+    deviations = [abs(a - b) / max(1.0, abs(b)) for a, b in zip(numeric, analytic)]
+    return float(np.max(deviations, initial=0.0))
 
 
 def _check_analytic_moments(
     model: EngineModel, rho0: np.ndarray
 ) -> list[CheckResult]:
     """Single-cycle enumerated joint moments against the closed forms."""
+    expected, initial = closed_form_moments(model, rho0)
+    if expected is None:
+        return [
+            CheckResult(
+                "analytic_moments",
+                "skip",
+                detail="closed form assumes diagonal thermal targets",
+            )
+        ]
     if isinstance(model.config.thermo, LindbladThermo):
-        initial = np.diag(np.diag(rho0))
-        expected = analytic_moments_lindblad(model, initial)
         tolerance = MOMENT_TOL
         detail = "single cycle, diagonal part of the initial state"
     else:
-        expected = perfect_readout_moments(model)
-        if expected is None:
-            return [
-                CheckResult(
-                    "analytic_moments",
-                    "skip",
-                    detail="closed form assumes diagonal thermal targets",
-                )
-            ]
-        initial = model.cold_channel.target.matrix
         tolerance = 1e-10
         detail = "single cycle started from the cold target"
     table = enumerate_branches(model, 1, initial=initial)

@@ -101,7 +101,7 @@ def test_criterion_02_adiabatic_engine_efficiency(adiabatic_perfect_config):
     for name, scheme in (("RM", "RM"), ("RC", "RC2")):
         mix = enumerated_mixture(model, scheme, "joint", 1, initial=rho0)
         moments = MomentSet(*mix.moments())
-        eta = efficiency(moments)
+        eta = efficiency(moments.mean_work, moments.mean_heat)
         assert eta == pytest.approx(1.0 - 1.0 / 3.7, abs=1e-9), name
         assert eta == pytest.approx(0.729730, abs=5e-7), name
     assert time.perf_counter() - start < 1.0

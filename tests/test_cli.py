@@ -18,10 +18,16 @@ from ottomon.asymptotics import (
 )
 from ottomon.cli import main
 from ottomon.config import KEY_SPECS
-from ottomon.engine import READOUTS, EngineConfig, LandauZenerStroke
+from ottomon.engine import (
+    JOINT_SCHEMES,
+    READOUTS,
+    SCHEMES,
+    EngineConfig,
+    LandauZenerStroke,
+)
 from ottomon.lattice import joint_via_lattice
 from ottomon.mixtures import GaussianMixture1D
-from ottomon.moments import power_output, work_per_cycle_series
+from ottomon.moments import moment_series, power_output, work_per_cycle_series
 from ottomon.qubit import landau_zener_params
 
 
@@ -238,6 +244,26 @@ def test_moments_columns_are_internally_consistent(capsys):
         assert row[header.index("analytic_mean_work")] == ""
     by_scheme = {row[header.index("scheme")]: row for row in rows}
     assert by_scheme["RC1"][header.index("cov_work_heat")] == ""
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_joint_record_follows_joint_schemes(capsys, scheme):
+    joint = scheme in JOINT_SCHEMES
+    try:
+        joint_via_lattice(EngineConfig(), scheme, 1)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == joint
+    cross = moment_series(EngineConfig(), scheme, 1)[-1].cross
+    assert np.isfinite(cross) == joint
+    code, _, _ = run_cli(capsys, "joint", "--cycles", "1", "--scheme", scheme)
+    assert code == (0 if joint else 2)
+    code, out, _ = run_cli(capsys, "moments", "--cycles", "1")
+    assert code == 0
+    header, rows = parse_csv(out)
+    row = next(row for row in rows if row[header.index("scheme")] == scheme)
+    assert (row[header.index("cov_work_heat")] != "") == joint
 
 
 def test_moments_refuse_sector_mixing_targets(capsys):
@@ -500,3 +526,24 @@ def test_non_finite_configuration_values_are_refused(capsys, key, value):
     assert code == 2
     assert out == ""
     assert f"{key} must be finite" in err
+
+
+NON_FINITE_FLAGS = [
+    ("pdf", "--grid-min", "-inf"),
+    ("pdf", "--grid-max", "inf"),
+    ("sweep", "--t1-min", "nan"),
+    ("sweep", "--t1-max", "inf"),
+    ("sweep", "--t2-min", "-inf"),
+    ("sweep", "--t2-max", "nan"),
+    ("validate", "--corrupt-suppression", "nan"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", NON_FINITE_FLAGS)
+def test_non_finite_flag_values_are_refused(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be finite (got {value})" in captured.err

@@ -11,12 +11,14 @@ from ottomon import (
     EngineConfig,
     LindbladThermo,
     PerfectThermo,
+    ThermalState,
 )
 from ottomon.engine import build_model
 from ottomon.moments import (
     MomentSet,
     analytic_moments_lindblad,
     analytic_moments_perfect,
+    closed_form_moments,
     efficiency,
     perfect_readout_moments,
     power_output,
@@ -146,6 +148,34 @@ def test_scheme_differences_have_exact_closed_forms() -> None:
     assert rm[3] - rc[3] == pytest.approx(sigma2, abs=1e-12)
 
 
+def test_closed_form_moments_pick_the_form_and_its_initial_state(
+    default_config,
+) -> None:
+    rho0 = ThermalState(d=0.3, q=0.2 + 0.1j).matrix
+    lindblad = build_model(default_config)
+    forms, initial = closed_form_moments(lindblad, rho0)
+    assert_allclose(initial, np.diag(np.diag(rho0)), atol=0)
+    assert forms == analytic_moments_lindblad(lindblad, initial)
+    perfect = build_model(
+        EngineConfig(thermo=PerfectThermo(beta_c=0.25, beta_h=0.025))
+    )
+    forms, initial = closed_form_moments(perfect, rho0)
+    assert forms == perfect_readout_moments(perfect)
+    assert_allclose(initial, perfect.cold_channel.target.matrix, atol=0)
+    coherent = build_model(
+        EngineConfig(
+            thermo=PerfectThermo(
+                beta_c=0.25,
+                beta_h=0.025,
+                targets="custom",
+                custom_cold=ThermalState(d=0.3, q=0.1),
+                custom_hot=ThermalState(d=0.4),
+            )
+        )
+    )
+    assert closed_form_moments(coherent, rho0)[0] is None
+
+
 def test_adiabatic_perfect_efficiency_is_the_gap_ratio() -> None:
     config = EngineConfig(
         sigma=0.0,
@@ -154,15 +184,15 @@ def test_adiabatic_perfect_efficiency_is_the_gap_ratio() -> None:
         init="gibbs_cold",
     )
     moments = analytic_moments_perfect(config)
-    assert efficiency(moments) == pytest.approx(1.0 - 1.0 / 3.7, abs=1e-12)
+    assert efficiency(moments.mean_work, moments.mean_heat) == pytest.approx(
+        1.0 - 1.0 / 3.7, abs=1e-12
+    )
 
 
 def test_efficiency_signs_and_degenerate_case() -> None:
-    engine = MomentSet(-0.5, 1.0, 1.0, 2.0, 0.0)
-    assert efficiency(engine) == pytest.approx(0.5)
-    dud = MomentSet(0.5, 1.0, 1.0, 2.0, 0.0)
-    assert efficiency(dud) == pytest.approx(-0.5)
-    assert efficiency(MomentSet(-0.5, 0.0, 1.0, 0.0, 0.0)) is None
+    assert efficiency(-0.5, 1.0) == pytest.approx(0.5)
+    assert efficiency(0.5, 1.0) == pytest.approx(-0.5)
+    assert efficiency(-0.5, 0.0) is None
 
 
 def test_reliability_is_signed_work_over_spread() -> None:

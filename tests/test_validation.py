@@ -63,7 +63,7 @@ def test_report_lines_and_dict(default_report):
     assert set(first) == {"name", "status", "deviation", "tolerance", "detail"}
 
 
-@pytest.mark.parametrize("scale", [0.5, 1.05])
+@pytest.mark.parametrize("scale", [0.5, 1.05, np.nan])
 def test_corrupted_suppression_fails(scale):
     report = run_validation(EngineConfig(cycles=2), suppression_scale=scale)
     assert not report.passed
@@ -152,6 +152,14 @@ def test_compare_weight_tables_flags_unmatched_centers():
     # Centers that only carry numerical dust on one side are not flagged.
     deviation, detail = compare_weight_tables({(0, 0): 0.5, (4, -4): 1e-15}, {(0, 0): 0.5})
     assert detail == ""
+
+
+def test_compare_weight_tables_reads_a_nan_weight_as_a_nan_deviation():
+    reference = {(0, 0): 0.5, (1, 0): 0.25}
+    deviation, _ = compare_weight_tables(reference, {(0, 0): 0.5, (1, 0): np.nan})
+    assert np.isnan(deviation)
+    deviation, _ = compare_weight_tables({(0, 0): np.nan}, reference)
+    assert np.isnan(deviation)
 
 
 def test_report_passed_ignores_skips():
