@@ -8,22 +8,17 @@ so monitoring itself changes what the engine appears to deliver.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ottomon import EngineConfig, MomentSet, build_model, efficiency, reliability
 from ottomon.asymptotics import initial_state
 from ottomon.lattice import mixture_from_points
-from ottomon.moments import analytic_moments_lindblad
+from ottomon.moments import closed_form_moments
 from ottomon.oracle import enumerate_branches, point_weights
 
 
 def main() -> None:
     config = EngineConfig()
     model = build_model(config)
-    rho0 = initial_state(config, model)
-    rho_diag = np.diag(np.diag(rho0))
-
-    analytic = analytic_moments_lindblad(model, rho_diag)
+    analytic, rho_diag = closed_form_moments(model, initial_state(config, model))
     table = enumerate_branches(model, 1, initial=rho_diag)
     eps = (config.eps_c, config.eps_h)
     numeric = {}

@@ -8,7 +8,6 @@ metrics, and the asymptotic per-cycle behavior of the monitored dynamics.
 from .asymptotics import (
     DegenerateFixedPointError,
     SpectrumReport,
-    asymptotic_power,
     asymptotic_work_heat,
     build_cycle_superoperator,
     derive_timed_config,
@@ -46,8 +45,7 @@ from .lattice import joint_via_lattice, marginal_via_lattice, mixture_from_point
 from .mixtures import GaussianMixture1D, GaussianMixture2D
 from .moments import (
     MomentSet,
-    analytic_moments_lindblad,
-    analytic_moments_perfect,
+    asymptotic_power,
     efficiency,
     moment_series,
     power_output,
@@ -99,8 +97,6 @@ __all__ = [
     "ThermalState",
     "ValidationReport",
     "WorkStrokeParams",
-    "analytic_moments_lindblad",
-    "analytic_moments_perfect",
     "asymptotic_power",
     "asymptotic_work_heat",
     "build_cycle_superoperator",

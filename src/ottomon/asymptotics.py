@@ -117,8 +117,7 @@ def initial_state(
     if config.init == "gibbs_cold":
         d = gibbs_population(thermo.beta_c, config.eps_c)
         return np.array([[1.0 - d, 0.0], [0.0, d]], dtype=complex)
-    omega_d = getattr(thermo, "omega_d", 0.2)
-    bath = BathSpec(thermo.beta_c, thermo.gamma, omega_d, "cold")
+    bath = BathSpec(thermo.beta_c, thermo.gamma, thermo.omega_d, "cold")
     return generalized_gibbs(bath, model.h_cold).matrix
 
 
@@ -192,14 +191,6 @@ def derive_timed_config(config: EngineConfig, t1: float, t2: float) -> EngineCon
         theta = theta_from_thermal_duration(t2, config.eps_c, config.eps_h)
         updates["thermo"] = dataclasses.replace(config.thermo, theta=theta)
     return dataclasses.replace(config, **updates) if updates else config
-
-
-def asymptotic_power(
-    engine: EngineConfig, scheme: str, t1: float, t2: float
-) -> float:
-    """Asymptotic output power -<W>/(T1 + T2); negative values mark a dud."""
-    work, _ = asymptotic_work_heat(derive_timed_config(engine, t1, t2), scheme)
-    return -work / (t1 + t2)
 
 
 def fit_geometric_ratio(

@@ -155,6 +155,7 @@ def to_engine_config(values: dict[str, Any]) -> EngineConfig:
             beta_h=values["beta_h"],
             gamma=values["gamma"],
             theta=values["theta"],
+            omega_d=values["omega_d"],
         )
     elif thermo_mode == "perfect":
         custom_cold = custom_hot = None

@@ -90,12 +90,16 @@ class PerfectThermo:
 
 @dataclass(frozen=True)
 class LindbladThermo:
-    """Imperfect thermalization of dimensionless duration ``theta`` per stroke."""
+    """Imperfect thermalization of dimensionless duration ``theta`` per stroke.
+
+    ``omega_d`` is the bath cutoff of the generalized-Gibbs initial state.
+    """
 
     beta_c: float
     beta_h: float
     gamma: float
     theta: float
+    omega_d: float = 0.2
 
     def __post_init__(self) -> None:
         if self.theta < 0:

@@ -2,12 +2,13 @@
 
 The moment recursion differentiates the tilted cycle map at zero counting
 field and gives the mixture moments after any number of cycles without a
-lattice.  For one cycle, the population dynamics is a four-step Markov chain
-over the energy sign at each contact, which gives every first and second
-moment of work and heat in closed form for a diagonal initial state.  Pointer
-readout adds scheme-dependent constants (the mixture widths) and, for
-accumulating pointers, an interference term from coherences that survive the
-hot stroke.
+lattice.  For one cycle from a diagonal initial state, the population
+dynamics is a four-step Markov chain over the energy sign at each contact,
+which gives every first and second moment of work and heat in closed form,
+exactly.  The readouts differ in two ways only: pointer widths add
+scheme-dependent constants, and the interference from the coherence that
+the forward stroke creates reaches per-stroke readout scaled by w_h^2 (the
+squared hot-contact overlap) and accumulating pointers in full.
 """
 from __future__ import annotations
 
@@ -15,7 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotics import prepare_initial_state, resolve_initial_state
+from .asymptotics import (
+    asymptotic_work_heat,
+    derive_timed_config,
+    prepare_initial_state,
+    resolve_initial_state,
+)
 from .engine import (
     JOINT_SCHEMES,
     OBSERVABLES,
@@ -24,8 +30,8 @@ from .engine import (
     EngineConfig,
     EngineModel,
     LindbladThermo,
-    PerfectThermo,
     build_model,
+    contact_suppression,
     cycle_increments,
     heat_variance,
     joint_covariance,
@@ -34,7 +40,6 @@ from .engine import (
     work_variance,
 )
 from .superop import trace_of_vec, vec
-from .thermal import ThermalState
 
 
 class MomentSet(NamedTuple):
@@ -102,118 +107,58 @@ def _chain_moments(
     return MomentSet(mean_work, mean_heat, second_work, second_heat, float(cross))
 
 
-def _with_pointer_terms(base: MomentSet, scheme: str, sigma: float) -> MomentSet:
-    """Zero-width single-cycle moments plus the mixture widths of a readout."""
-    return base._replace(
-        second_work=base.second_work + work_variance(scheme, 1, sigma),
-        second_heat=base.second_heat + heat_variance(scheme, 1, sigma),
-        cross=base.cross + float(joint_covariance(scheme, 1, sigma)[0, 1]),
-    )
-
-
-def analytic_moments_perfect(engine: EngineConfig | EngineModel) -> MomentSet:
-    """Single-cycle moments for perfect thermalization at zero pointer width.
-
-    The cycle starts in the cold target state, which is also the invariant
-    state of the perfectly thermalized cycle.
-    """
-    model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    config = model.config
-    if not isinstance(config.thermo, PerfectThermo):
-        raise ValueError("closed form requires perfect thermalization")
-    return _chain_moments(
-        eps_c=config.eps_c,
-        eps_h=config.eps_h,
-        alpha=model.stroke_params.alpha,
-        d_init=model.cold_channel.target.d,
-        t_hot=1.0 - 2.0 * model.hot_channel.target.d,
-        decay=0.0,
-    )
-
-
-def perfect_readout_moments(
-    engine: EngineConfig | EngineModel,
-) -> dict[str, MomentSet] | None:
-    """Single-cycle RM and RC moments for perfect thermalization.
-
-    The zero-width closed form plus the pointer terms of each readout: the
-    per-stroke pointers add 4 sigma^2 to <W^2>, 2 sigma^2 to <Q^2> and
-    -2 sigma^2 to <WQ>; the accumulated pointers add sigma^2 to each second
-    moment.  None when a target state carries coherence, which the closed
-    form does not describe.
-    """
-    model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    config = model.config
-    if not isinstance(config.thermo, PerfectThermo):
-        raise ValueError("closed form requires perfect thermalization")
-    if abs(model.cold_channel.target.q) > 0 or abs(model.hot_channel.target.q) > 0:
-        return None
-    base = analytic_moments_perfect(model)
-    return {
-        label: _with_pointer_terms(base, scheme, config.sigma)
-        for label, scheme in READOUTS
-    }
-
-
-def analytic_moments_lindblad(
-    engine: EngineConfig | EngineModel, initial: ThermalState | np.ndarray
-) -> dict[str, MomentSet]:
-    """Leading-order single-cycle moments per scheme for finite-time baths.
-
-    Valid through the leading pointer-width corrections for diagonal initial
-    states: initial coherences enter only at higher order.  The per-stroke
-    readout scheme keeps the sign-chain values plus its mixture widths, while
-    accumulating pointers retain the coherence interference term generated at
-    the first contact, which oscillates with the hot-stroke phase.
-    """
-    model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    config = model.config
-    if not isinstance(config.thermo, LindbladThermo):
-        raise ValueError("this closed form requires finite-time thermalization")
-    thermo = config.thermo
-    if isinstance(initial, ThermalState):
-        d_init = initial.d
-    else:
-        d_init = float(np.asarray(initial)[1, 1].real)
-    alpha = model.stroke_params.alpha
-    phi = model.stroke_params.phi
-    sigma = config.sigma
-    theta = thermo.theta
-    base = _chain_moments(
-        eps_c=config.eps_c,
-        eps_h=config.eps_h,
-        alpha=alpha,
-        d_init=d_init,
-        t_hot=float(np.tanh(thermo.beta_h * config.eps_h)),
-        decay=float(np.exp(-2.0 * thermo.gamma * theta)),
-    )
-    coherence = float(np.exp(-thermo.gamma * theta) * np.cos(2.0 * (theta + phi)))
-    osc_mean = -4.0 * config.eps_c * alpha * (1.0 - alpha) * (1.0 - 2.0 * d_init)
-    osc_second = -8.0 * config.eps_c**2 * alpha * (1.0 - alpha)
-    interfered = base._replace(
-        mean_work=base.mean_work + osc_mean * coherence,
-        second_work=base.second_work + osc_second * coherence,
-    )
-    return {
-        "RM": _with_pointer_terms(base, "RM", sigma),
-        "RC": _with_pointer_terms(interfered, "RC2", sigma),
-    }
-
-
 def closed_form_moments(
     model: EngineModel, rho0: np.ndarray
 ) -> tuple[dict[str, MomentSet] | None, np.ndarray]:
-    """Single-cycle closed forms per readout label and the state they start from.
+    """Single-cycle moments per readout label and the state they start from.
 
-    Finite-time baths start from the diagonal of ``rho0``, since initial
-    coherences enter only at higher order; perfect thermalization starts from
-    the cold target, the invariant state of its cycle.  The forms are None
-    when a perfect target carries coherence.
+    Exact at one cycle from a diagonal start.  Finite-time baths start from
+    the diagonal of ``rho0``; perfect thermalization starts from the cold
+    target, the invariant state of its cycle, and erases the interference.
+    The forward stroke creates a coherence whose interference survives both
+    hot contacts, so per-stroke readout carries it times w_h^2 (the squared
+    hot-contact overlap) and accumulating pointers carry it in full.  Each
+    readout then adds its mixture widths: the per-stroke pointers 4 sigma^2
+    to <W^2>, 2 sigma^2 to <Q^2> and -2 sigma^2 to <WQ>, the accumulated ones
+    sigma^2 to each second moment.  The forms are None when a perfect target
+    carries coherence.
     """
-    if isinstance(model.config.thermo, LindbladThermo):
+    config = model.config
+    thermo = config.thermo
+    alpha = model.stroke_params.alpha
+    if isinstance(thermo, LindbladThermo):
         initial = np.diag(np.diag(rho0))
-        return analytic_moments_lindblad(model, initial), initial
-    return perfect_readout_moments(model), model.cold_channel.target.matrix
+        d_init = float(initial[1, 1].real)
+        t_hot = float(np.tanh(thermo.beta_h * config.eps_h))
+        decay = float(np.exp(-2.0 * thermo.gamma * thermo.theta))
+        coherence = float(
+            np.exp(-thermo.gamma * thermo.theta)
+            * np.cos(2.0 * (thermo.theta + model.stroke_params.phi))
+        )
+    else:
+        cold, hot = model.cold_channel.target, model.hot_channel.target
+        initial = cold.matrix
+        if abs(cold.q) > 0 or abs(hot.q) > 0:
+            return None, initial
+        d_init, t_hot, decay, coherence = cold.d, 1.0 - 2.0 * hot.d, 0.0, 0.0
+    base = _chain_moments(config.eps_c, config.eps_h, alpha, d_init, t_hot, decay)
+    osc_mean = -4.0 * config.eps_c * alpha * (1.0 - alpha) * (1.0 - 2.0 * d_init)
+    osc_second = -8.0 * config.eps_c**2 * alpha * (1.0 - alpha)
+    sigma = config.sigma
+    w_h = contact_suppression(config.eps_h, sigma)
+    forms = {}
+    for label, scheme in READOUTS:
+        scale = w_h**2 if scheme == "RM" else 1.0
+        forms[label] = MomentSet(
+            base.mean_work + scale * (osc_mean * coherence),
+            base.mean_heat,
+            base.second_work
+            + scale * (osc_second * coherence)
+            + work_variance(scheme, 1, sigma),
+            base.second_heat + heat_variance(scheme, 1, sigma),
+            base.cross + float(joint_covariance(scheme, 1, sigma)[0, 1]),
+        )
+    return forms, initial
 
 
 def efficiency(mean_work: float, mean_heat: float) -> float | None:
@@ -236,6 +181,12 @@ def power_output(mean_work: float, t1: float, t2: float) -> float:
     if t1 <= 0 or t2 <= 0:
         raise ValueError("durations must be positive")
     return -mean_work / (t1 + t2)
+
+
+def asymptotic_power(engine: EngineConfig, scheme: str, t1: float, t2: float) -> float:
+    """Asymptotic output power at durations (t1, t2); negative values mark a dud."""
+    work, _ = asymptotic_work_heat(derive_timed_config(engine, t1, t2), scheme)
+    return power_output(work, t1, t2)
 
 
 def moment_series(

@@ -41,8 +41,7 @@ from ottomon.lattice import (
 )
 from ottomon.moments import (
     MomentSet,
-    analytic_moments_lindblad,
-    analytic_moments_perfect,
+    closed_form_moments,
     efficiency,
     work_per_cycle_series,
 )
@@ -138,19 +137,19 @@ def test_criterion_04_closed_form_moment_regression(default_config):
         thermo=PerfectThermo(beta_c=0.25, beta_h=0.025),
         init="gibbs_cold",
     )
-    chain = np.array(analytic_moments_perfect(config))
     model = build_model(config)
-    target_cold = model.cold_channel.target.matrix
+    forms, target_cold = closed_form_moments(model, initial_state(config, model))
     for name, scheme in (("RM", "RM"), ("RC", "RC2")):
         mix = enumerated_mixture(model, scheme, "joint", 1, initial=target_cold)
         numeric = np.array(mix.moments())
-        assert_allclose(numeric, chain, atol=1e-10, err_msg=name)
+        assert_allclose(numeric, np.array(forms[name]), atol=1e-10, err_msg=name)
 
     # Dissipative engine at finite pointer width, diagonal initial state: the
     # closed forms carry the interference and width corrections exactly.
     model_l = build_model(default_config)
-    rho_diag = np.diag(np.diag(initial_state(default_config, model_l)))
-    analytic = analytic_moments_lindblad(model_l, rho_diag)
+    analytic, rho_diag = closed_form_moments(
+        model_l, initial_state(default_config, model_l)
+    )
     for name, scheme in (("RM", "RM"), ("RC", "RC2")):
         mix = enumerated_mixture(model_l, scheme, "joint", 1, initial=rho_diag)
         numeric = np.array(mix.moments())

@@ -27,9 +27,10 @@ from ottomon import (
     work_per_cycle_series,
 )
 from ottomon.engine import build_model, contact_suppression
-from ottomon.moments import analytic_moments_perfect
+from ottomon.moments import closed_form_moments
 from ottomon.qubit import gibbs_population, landau_zener_params
 from ottomon.superop import TRACE_VEC, conjugation, dephasing, unvec, vec
+from ottomon.thermal import BathSpec, generalized_gibbs
 
 # Values frozen from this implementation at the default parameter point and
 # cross-checked against the brute-force enumeration for small cycle numbers.
@@ -210,10 +211,11 @@ def test_asymptotic_work_perfect_zero_width_equals_chain_mean() -> None:
         stroke=DirectStroke(alpha=0.05, phi=0.0),
         thermo=PerfectThermo(beta_c=0.25, beta_h=0.025),
     )
-    chain = analytic_moments_perfect(config)
-    for _, scheme in READOUTS:
+    model = build_model(config)
+    forms, _ = closed_form_moments(model, initial_state(config, model))
+    for label, scheme in READOUTS:
         assert asymptotic_work_heat(config, scheme)[0] == pytest.approx(
-            chain.mean_work, abs=1e-12
+            forms[label].mean_work, abs=1e-12
         )
 
 
@@ -309,8 +311,18 @@ def test_initial_state_kinds(default_config) -> None:
     assert abs(gibbs[0, 1]) == 0.0
     generalized = initial_state(EngineConfig(init="generalized_gibbs_cold"))
     assert generalized[1, 0].real > 0.0
+    # Finite-time baths read the bath cutoff of the generalized-Gibbs start.
+    thermo = LindbladThermo(
+        beta_c=0.25, beta_h=0.025, gamma=0.025, theta=8.0, omega_d=2.0
+    )
+    wide_cutoff = EngineConfig(thermo=thermo, init="generalized_gibbs_cold")
+    expected = generalized_gibbs(
+        BathSpec(0.25, 0.025, 2.0, "cold"), build_model(wide_cutoff).h_cold
+    )
+    assert_allclose(initial_state(wide_cutoff), expected.matrix, atol=0)
     custom = initial_state(
         EngineConfig(init="custom", init_custom=ThermalState(d=0.27, q=0.01))
     )
     assert custom[1, 1].real == pytest.approx(0.27)
     assert custom[1, 0] == pytest.approx(0.01)
+

@@ -284,6 +284,19 @@ def test_moments_reach_long_records_without_a_lattice(capsys):
         assert np.isfinite(column(header, rows, name)).all(), name
 
 
+def test_moments_from_generalized_gibbs_read_the_bath_cutoff(capsys):
+    outputs = {}
+    for omega_d in ("0.2", "0.5", "2"):
+        code, out, _ = run_cli(
+            capsys, "moments", "--init", "generalized_gibbs_cold", "--omega_d", omega_d
+        )
+        assert code == 0
+        outputs[omega_d] = out
+    assert len(set(outputs.values())) == 3
+    code, out, _ = run_cli(capsys, "moments", "--init", "generalized_gibbs_cold")
+    assert out == outputs["0.2"]
+
+
 def test_moments_single_cycle_reports_closed_forms(capsys):
     code, out, _ = run_cli(capsys, "moments", "--cycles", "1")
     assert code == 0

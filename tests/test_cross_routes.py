@@ -12,14 +12,14 @@ import pytest
 
 from ottomon import DirectStroke, EngineConfig, LindbladThermo, PerfectThermo
 from ottomon.asymptotics import initial_state
-from ottomon.engine import OBSERVABLES, SCHEMES, build_model
+from ottomon.engine import OBSERVABLES, READOUTS, SCHEMES, build_model
 from ottomon.lattice import (
     as_weight_table,
     joint_via_lattice,
     lattice_points,
     marginal_via_lattice,
 )
-from ottomon.moments import moment_series, perfect_readout_moments
+from ottomon.moments import closed_form_moments, moment_series
 from ottomon.oracle import enumerate_branches, point_weights
 from ottomon.validation import MOMENT_TOL, WEIGHT_TOL, compare_weight_tables
 
@@ -88,8 +88,7 @@ def test_single_cycle_recursion_matches_perfect_closed_forms(seed) -> None:
     beta_c = float(rng.uniform(0.1, 1.0))
     thermo = PerfectThermo(beta_c=beta_c, beta_h=float(rng.uniform(0.01, beta_c)))
     model = build_model(EngineConfig(**_draw_levels(rng), thermo=thermo))
-    expected = perfect_readout_moments(model)
-    rho0 = model.cold_channel.target.matrix
+    expected, rho0 = closed_form_moments(model, initial_state(model.config, model))
     rm, rc1, rc2 = (moment_series(model, s, 1, rho0)[0] for s in SCHEMES)
     assert _relative_deviation(rm, expected["RM"]) <= MOMENT_TOL
     assert _relative_deviation(rc2, expected["RC"]) <= MOMENT_TOL
@@ -98,6 +97,20 @@ def test_single_cycle_recursion_matches_perfect_closed_forms(seed) -> None:
     rc1_work = (rc1.mean_work, rc1.second_work)
     rc_work = (expected["RC"].mean_work, expected["RC"].second_work)
     assert _relative_deviation(rc1_work, rc_work) <= MOMENT_TOL
+
+
+@pytest.mark.parametrize("config,cycles", RANDOM_ENGINES)
+def test_single_cycle_recursion_matches_finite_time_closed_forms(
+    config, cycles
+) -> None:
+    # The forms are exact at one cycle from the diagonal of the initial state,
+    # whatever the pointer overlap; the cycle count of the draw is not used.
+    model = build_model(config)
+    forms, initial = closed_form_moments(model, initial_state(config, model))
+    for label, scheme in READOUTS:
+        final = moment_series(model, scheme, 1, initial)[0]
+        deviation = _relative_deviation(final, forms[label])
+        assert deviation <= MOMENT_TOL, (label, deviation)
 
 
 def test_recursion_refuses_sector_mixing_with_the_kernel_message(

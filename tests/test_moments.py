@@ -1,6 +1,8 @@
 """Closed-form moments against enumeration, plus performance metrics."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,11 +18,8 @@ from ottomon import (
 from ottomon.engine import build_model
 from ottomon.moments import (
     MomentSet,
-    analytic_moments_lindblad,
-    analytic_moments_perfect,
     closed_form_moments,
     efficiency,
-    perfect_readout_moments,
     power_output,
     reliability,
 )
@@ -38,6 +37,19 @@ def _as_array(moments: MomentSet) -> np.ndarray:
     return np.array(moments)
 
 
+def _closed_forms(
+    config: EngineConfig, initial: np.ndarray | None = None
+) -> dict[str, MomentSet] | None:
+    if initial is None:
+        initial = np.eye(2, dtype=complex) / 2.0
+    return closed_form_moments(build_model(config), initial)[0]
+
+
+def _zero_width_chain(config: EngineConfig) -> np.ndarray:
+    """The sign-chain moments: the RM form at zero pointer width."""
+    return _as_array(_closed_forms(dataclasses.replace(config, sigma=0.0))["RM"])
+
+
 def test_perfect_chain_matches_enumeration_at_zero_width() -> None:
     config = EngineConfig(
         sigma=0.0,
@@ -45,11 +57,11 @@ def test_perfect_chain_matches_enumeration_at_zero_width() -> None:
         thermo=PerfectThermo(beta_c=0.25, beta_h=0.025),
         init="gibbs_cold",
     )
-    chain = _as_array(analytic_moments_perfect(config))
+    forms = _closed_forms(config)
     model = build_model(config)
     initial = model.cold_channel.target.matrix
     for kind, numeric in _oracle_moments(config, initial).items():
-        assert_allclose(chain, numeric, atol=1e-13, err_msg=kind)
+        assert_allclose(_as_array(forms[kind]), numeric, atol=1e-13, err_msg=kind)
 
 
 def test_perfect_chain_plus_widths_matches_enumeration_at_finite_width() -> None:
@@ -59,7 +71,7 @@ def test_perfect_chain_plus_widths_matches_enumeration_at_finite_width() -> None
         thermo=PerfectThermo(beta_c=0.25, beta_h=0.025),
         init="gibbs_cold",
     )
-    chain = _as_array(analytic_moments_perfect(config))
+    chain = _zero_width_chain(config)
     model = build_model(config)
     initial = model.cold_channel.target.matrix
     numeric = _oracle_moments(config, initial)
@@ -75,9 +87,9 @@ def test_perfect_readout_moments_add_the_pointer_terms(
     adiabatic_perfect_config,
 ) -> None:
     config = EngineConfig(thermo=PerfectThermo(beta_c=0.25, beta_h=0.025), sigma=0.3)
-    chain = _as_array(analytic_moments_perfect(config))
+    chain = _zero_width_chain(config)
     sig2 = config.sigma**2
-    readout = perfect_readout_moments(config)
+    readout = _closed_forms(config)
     assert set(readout) == {"RM", "RC"}
     assert_allclose(
         _as_array(readout["RM"]), chain + np.array([0, 0, 4, 2, -2]) * sig2, rtol=1e-15
@@ -85,15 +97,8 @@ def test_perfect_readout_moments_add_the_pointer_terms(
     assert_allclose(
         _as_array(readout["RC"]), chain + np.array([0, 0, 1, 1, 0]) * sig2, rtol=1e-15
     )
-    # Coherent targets have no closed form; finite-time baths are refused.
-    assert perfect_readout_moments(adiabatic_perfect_config) is None
-    with pytest.raises(ValueError, match="perfect thermalization"):
-        perfect_readout_moments(EngineConfig())
-
-
-def test_analytic_perfect_requires_perfect_thermalization(default_config) -> None:
-    with pytest.raises(ValueError):
-        analytic_moments_perfect(default_config)
+    # Coherent targets have no closed form.
+    assert _closed_forms(adiabatic_perfect_config) is None
 
 
 @pytest.mark.parametrize(
@@ -107,12 +112,13 @@ def test_analytic_perfect_requires_perfect_thermalization(default_config) -> Non
             ),
             0.3,
         ),
+        (EngineConfig(eps_h=1.01, sigma=0.7), 0.35),
     ],
-    ids=["reference-point", "strong-stroke"],
+    ids=["reference-point", "strong-stroke", "wide-pointers"],
 )
 def test_lindblad_closed_forms_match_enumeration(config, d_init) -> None:
     initial = np.diag([1.0 - d_init, d_init]).astype(complex)
-    analytic = analytic_moments_lindblad(config, initial)
+    analytic = _closed_forms(config, initial)
     numeric = _oracle_moments(config, initial)
     for kind in ("RM", "RC"):
         got = _as_array(analytic[kind])
@@ -155,12 +161,13 @@ def test_closed_form_moments_pick_the_form_and_its_initial_state(
     lindblad = build_model(default_config)
     forms, initial = closed_form_moments(lindblad, rho0)
     assert_allclose(initial, np.diag(np.diag(rho0)), atol=0)
-    assert forms == analytic_moments_lindblad(lindblad, initial)
+    # Initial coherences do not enter the forms.
+    assert forms == closed_form_moments(lindblad, initial)[0]
     perfect = build_model(
         EngineConfig(thermo=PerfectThermo(beta_c=0.25, beta_h=0.025))
     )
     forms, initial = closed_form_moments(perfect, rho0)
-    assert forms == perfect_readout_moments(perfect)
+    assert forms == closed_form_moments(perfect, np.eye(2) / 2.0)[0]
     assert_allclose(initial, perfect.cold_channel.target.matrix, atol=0)
     coherent = build_model(
         EngineConfig(
@@ -183,10 +190,10 @@ def test_adiabatic_perfect_efficiency_is_the_gap_ratio() -> None:
         thermo=PerfectThermo(beta_c=0.25, beta_h=0.025),
         init="gibbs_cold",
     )
-    moments = analytic_moments_perfect(config)
-    assert efficiency(moments.mean_work, moments.mean_heat) == pytest.approx(
-        1.0 - 1.0 / 3.7, abs=1e-12
-    )
+    for kind, moments in _closed_forms(config).items():
+        assert efficiency(moments.mean_work, moments.mean_heat) == pytest.approx(
+            1.0 - 1.0 / 3.7, abs=1e-12
+        ), kind
 
 
 def test_efficiency_signs_and_degenerate_case() -> None:

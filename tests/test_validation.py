@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ottomon.config import load_engine_config
 from ottomon.engine import EngineConfig, LindbladThermo
 from ottomon.validation import (
     CheckResult,
@@ -94,6 +95,27 @@ def test_narrow_pointers_pass_the_density_legs(sigma):
     assert len(density) == 12
     assert all(r.status == "pass" for r in density), [r.line() for r in density]
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sigma": 5.0, "cycles": 1},
+        {"sigma": 1.0},
+        {"eps_h": 1.01, "sigma": 0.7},
+        {"sigma": 3.0, "init": "gibbs_cold", "gamma": 0.0},
+    ],
+    ids=["sigma5-one-cycle", "sigma1", "narrow-gap", "sigma3-dissipationless"],
+)
+def test_wide_pointers_pass_the_analytic_moment_legs(overrides):
+    # The hot-contact overlap is far from negligible here, so the per-stroke
+    # closed form has to carry the interference scaled by its square.
+    config, _ = load_engine_config(None, overrides)
+    report = run_validation(config)
+    by_name = {r.name: r for r in report.results}
+    for label in ("rm", "rc"):
+        assert by_name[f"analytic_moments_{label}"].status == "pass", label
+    assert report.passed, [r.line() for r in report.results if r.failed]
 
 
 def test_dissipationless_configuration_skips_state_legs():
