@@ -44,7 +44,7 @@ def main() -> None:
     print("\nPointer equivalence and its negative control:")
     control = EngineConfig(sigma=2.0)
     model = build_model(control)
-    rho0 = initial_state(control, model)
+    rho0 = initial_state(model)
     gap = pointer_work_gap(model, rho0)
     print(f"  honest channels: one- vs two-pointer work gap = {gap:.3e}")
 

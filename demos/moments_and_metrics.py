@@ -18,7 +18,7 @@ from ottomon.oracle import enumerate_branches, point_weights
 def main() -> None:
     config = EngineConfig()
     model = build_model(config)
-    analytic, rho_diag = closed_form_moments(model, initial_state(config, model))
+    analytic, rho_diag = closed_form_moments(model, initial_state(model))
     table = enumerate_branches(model, 1, initial=rho_diag)
     eps = (config.eps_c, config.eps_h)
     numeric = {}

@@ -37,9 +37,7 @@ from .engine import (
     READOUTS,
     SCHEMES,
     build_model,
-    joint_covariance,
-    heat_variance,
-    work_variance,
+    pointer_covariance,
 )
 from .lattice import joint_via_lattice, marginal_via_lattice, mixture_from_points
 from .mixtures import GaussianMixture1D, GaussianMixture2D
@@ -110,10 +108,8 @@ __all__ = [
     "fit_geometric_ratio",
     "generalized_gibbs",
     "gibbs_population",
-    "heat_variance",
     "initial_state",
     "invariant_state",
-    "joint_covariance",
     "joint_via_lattice",
     "landau_zener_params",
     "load_engine_config",
@@ -122,6 +118,7 @@ __all__ = [
     "moment_series",
     "parse_config_text",
     "point_weights",
+    "pointer_covariance",
     "power_output",
     "reliability",
     "run_validation",
@@ -131,5 +128,4 @@ __all__ = [
     "thermal_duration_from_theta",
     "to_engine_config",
     "work_per_cycle_series",
-    "work_variance",
 ]

@@ -4,7 +4,9 @@ The accumulated effect of one full cycle on the working substance is a 4x4
 superoperator; with monitoring it additionally carries partial dephasing at
 every contact.  Its fixed point is the engine's periodic asymptotic state and
 its second-largest eigenvalue modulus sets the geometric convergence rate of
-all per-cycle averages.
+all per-cycle averages.  Every route also takes its starting state from here
+(:func:`initial_state`), with the first-contact fold that the accumulated
+pointers apply to it (:func:`prepare_initial_state`).
 """
 from __future__ import annotations
 
@@ -19,9 +21,8 @@ from .engine import (
     LandauZenerStroke,
     LindbladThermo,
     build_model,
+    contact_suppression,
     cycle_increments,
-    fold_initial_state_rc,
-    fold_required,
     tilted_cycle_coefficients,
 )
 from .qubit import gibbs_population, validate_density_matrix
@@ -100,15 +101,17 @@ def invariant_state(matrix: np.ndarray) -> np.ndarray:
 
 
 def initial_state(
-    config: EngineConfig, model: EngineModel | None = None
+    engine: EngineConfig | EngineModel, *, initial: np.ndarray | None = None
 ) -> np.ndarray:
-    """Resolve the configured initial density matrix.
+    """The given initial density matrix, or else the configured one.
 
     ``invariant`` refers to the fixed point of the unmonitored cycle channel,
     the state the engine relaxes to when run without any readout.
     """
-    if model is None:
-        model = build_model(config)
+    if initial is not None:
+        return np.asarray(initial, dtype=complex)
+    model = engine if isinstance(engine, EngineModel) else build_model(engine)
+    config = model.config
     if config.init == "invariant":
         return invariant_state(build_cycle_superoperator(model, "RC2"))
     if config.init == "custom":
@@ -121,23 +124,24 @@ def initial_state(
     return generalized_gibbs(bath, model.h_cold).matrix
 
 
-def resolve_initial_state(
-    model: EngineModel, initial: np.ndarray | None = None
-) -> np.ndarray:
-    """The given initial state, or the configured one when none is given."""
-    if initial is None:
-        return initial_state(model.config, model)
-    return np.asarray(initial, dtype=complex)
-
-
 def prepare_initial_state(
     model: EngineModel, scheme: str, observable: str, initial: np.ndarray | None = None
 ) -> np.ndarray:
-    """Resolve the initial state and apply the fold the readout needs."""
-    rho = resolve_initial_state(model, initial)
-    if fold_required(scheme, observable):
-        rho = fold_initial_state_rc(rho, model.sigma, model.h_cold.epsilon)
-    return rho
+    """The initial state of one readout, with the first-contact fold it needs.
+
+    The accumulated-pointer record differences telescope across the chain,
+    leaving only the overlap factor of the very first contact; it acts on the
+    initial state as a partial dephasing in the cold energy basis.  Both
+    accumulated-pointer work marginals carry this imprint; the heat marginal
+    carries it only when the work pointer exists and is traced out (two
+    pointers).  Per-stroke readout needs no fold: its suppression factors are
+    all per-contact and live in the branch weights.
+    """
+    rho = initial_state(model, initial=initial)
+    if scheme == "RM" or (scheme == "RC1" and observable == "heat"):
+        return rho
+    overlap = contact_suppression(model.h_cold.epsilon, model.sigma)
+    return rho * np.array([[1.0, overlap], [overlap, 1.0]])
 
 
 def asymptotic_work_heat(

@@ -53,9 +53,11 @@ from .oracle import ORACLE_CYCLE_LIMIT, enumerate_branches, point_weights
 from .qubit import landau_zener_params
 from .validation import run_validation
 
-DENSITY_MATCH_TOL = 1e-12
 DEFAULT_GRID_POINTS = 4096
 GRID_PAD_SIGMAS = 8.0
+# Largest entry by which the closed forms' initial state may differ from the
+# printed run's for the analytic moment cells to be filled.
+CLOSED_FORM_START_TOL = 1e-12
 # The joint command enumerates branch pairs, one cycle short of the oracle's
 # own limit.
 JOINT_CYCLE_LIMIT = ORACLE_CYCLE_LIMIT - 1
@@ -221,23 +223,15 @@ def cmd_pdf(args) -> int:
         hi = max(c.max() for c in kept) + pad
     _check_grid(args.points, lo, hi)
     grid = np.linspace(lo, hi, args.points)
-    dens = {name: mixes[name].density(grid) for name in ("RM", "RC2")}
-    # The two accumulated-pointer work readouts share one mixture.
-    if mixes["RC1"] is mixes["RC2"]:
-        dens["RC1"] = dens["RC2"]
-    else:
-        dens["RC1"] = mixes["RC1"].density(grid)
-    scale = max(1.0, float(dens["RC2"].max()))
-    split = float(np.abs(dens["RC1"] - dens["RC2"]).max()) > DENSITY_MATCH_TOL * scale
     header = ["value", "density_rm", "density_rc"]
-    if split:
+    columns = [grid, mixes["RM"].density(grid), mixes["RC2"].density(grid)]
+    # A lone heat pointer leaves the initial coherence unfolded, so heat has
+    # its own single-pointer column, even where it equals density_rc; for
+    # work, RC1 is RC2.
+    if args.observable == "heat":
         header.append("density_rc1")
-    rows = []
-    for i, x in enumerate(grid):
-        row = [x, dens["RM"][i], dens["RC2"][i]]
-        if split:
-            row.append(dens["RC1"][i])
-        rows.append(row)
+        columns.append(mixes["RC1"].density(grid))
+    rows = list(zip(*columns))
     _emit(args, _csv_text(header, rows))
     return 0
 
@@ -301,8 +295,12 @@ def _moment_columns(m: MomentSet, joint: bool, heat: bool) -> dict:
 def cmd_moments(args) -> int:
     config = _load_config(args)
     model = build_model(config)
-    rho0 = initial_state(config, model)
-    forms = closed_form_moments(model, rho0)[0] if config.cycles == 1 else None
+    rho0 = initial_state(model)
+    forms = None
+    if config.cycles == 1:
+        forms, start = closed_form_moments(model, rho0)
+        if np.abs(start - rho0).max() > CLOSED_FORM_START_TOL:
+            forms = None
     rows = []
     for scheme in SCHEMES:
         numeric = moment_series(model, scheme, config.cycles, rho0)[-1]

@@ -7,8 +7,10 @@ superoperator whose entries are Laurent polynomials in the two work-lattice
 variables (full counting statistics); its coefficients are the per-cycle
 transfer operators grouped by integer lattice increment, from which the
 lattice kernel, the cycle map and the asymptotic rates all follow.  The
-accumulated pointers enter only through a fold of the initial state, valid
-on thermal channels that keep the population and coherence sectors apart.
+pointers add Gaussian noise to every record (:func:`pointer_covariance`);
+the accumulated ones reach the state only through a fold of the initial
+state (``asymptotics.prepare_initial_state``), valid on thermal channels
+that keep the population and coherence sectors apart.
 """
 from __future__ import annotations
 
@@ -208,33 +210,6 @@ def contact_suppression(epsilon: float, sigma: float) -> float:
     return float(np.exp(-(epsilon**2) / (2.0 * sigma**2)))
 
 
-def fold_initial_state_rc(rho: np.ndarray, sigma: float, eps_c: float) -> np.ndarray:
-    """Damp initial off-diagonals by the first-contact pointer overlap.
-
-    The accumulated-pointer record differences telescope across the chain,
-    leaving only the overlap factor of the very first contact; it acts on the
-    initial state as a partial dephasing in the cold energy basis.
-    """
-    factor = contact_suppression(eps_c, sigma)
-    folded = np.array(rho, dtype=complex)
-    folded[0, 1] *= factor
-    folded[1, 0] *= factor
-    return folded
-
-
-def fold_required(scheme: str, observable: str) -> bool:
-    """Whether the scheme/observable pair dephases the initial state.
-
-    Both accumulated-pointer work marginals carry the first-contact work
-    imprint; the heat marginal carries it only when the work pointer exists
-    and is traced out (two pointers).  Per-stroke readout needs no fold: its
-    suppression factors are all per-contact and live in the branch weights.
-    """
-    if scheme == "RM":
-        return False
-    return not (scheme == "RC1" and observable == "heat")
-
-
 def require_sector_separation(model: EngineModel, scheme: str) -> None:
     """Refuse accumulated-pointer schemes on channels that mix sectors.
 
@@ -346,18 +321,13 @@ def cycle_increments(model: EngineModel) -> tuple[np.ndarray, np.ndarray]:
     return work, heat
 
 
-def work_variance(scheme: str, cycles: int, sigma: float) -> float:
-    """Per-component work variance of the assembled mixture."""
-    return 4.0 * cycles * sigma**2 if scheme == "RM" else sigma**2
+def pointer_covariance(scheme: str, cycles: int, sigma: float) -> np.ndarray:
+    """(work, heat) covariance the pointers add to every mixture component.
 
-
-def heat_variance(scheme: str, cycles: int, sigma: float) -> float:
-    """Per-component heat variance of the assembled mixture."""
-    return 2.0 * cycles * sigma**2 if scheme == "RM" else sigma**2
-
-
-def joint_covariance(scheme: str, cycles: int, sigma: float) -> np.ndarray:
-    """Shared (work, heat) covariance matrix of the joint mixture components."""
+    Per-stroke readout adds pointer noise at each of the four contacts of
+    every cycle, 2 N sigma^2 [[2, -1], [-1, 1]] after N cycles; the
+    accumulated pointers are read once at the end, sigma^2 on each record.
+    """
     if scheme == "RM":
         return 2.0 * cycles * sigma**2 * np.array([[2.0, -1.0], [-1.0, 1.0]])
     return sigma**2 * np.eye(2)

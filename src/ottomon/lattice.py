@@ -26,12 +26,11 @@ from .engine import (
     apply_contact,
     build_model,
     cycle_contacts,
-    heat_variance,
-    joint_covariance,
+    pointer_covariance,
     require_sector_separation,
-    work_variance,
 )
 from .mixtures import GaussianMixture1D, GaussianMixture2D
+from .qubit import HERMITICITY_TOL
 from .superop import vec
 
 # Largest peak memory a lattice run may need before it is refused.
@@ -40,9 +39,6 @@ LATTICE_MEMORY_BUDGET = 2**30
 # grid padded by a contact and the stroke's output (2.98 for work and 3.02 for
 # heat, measured at 120 and 2000 cycles; assembly needs under 2.2).
 _GRIDS_AT_PEAK = 3
-# Largest imaginary entry a stroke may carry in the real Hermitian basis, and
-# largest anti-Hermitian entry an initial state may carry.
-HERMITICITY_TOL = 1e-12
 # vec(rho) = _TO_VEC @ r for r = (rho00, Re rho10, Im rho10, rho11), the real
 # coordinates of a Hermitian 2x2 operator; they keep the sector layout of vec,
 # so the contact factors act on them unchanged.
@@ -214,19 +210,16 @@ def mixture_from_points(
     components share the scheme's pointer variance (covariance for the
     joint) after the given number of cycles.
     """
+    covariance = pointer_covariance(scheme, cycles, sigma)
     if observable == "heat":
-        return GaussianMixture1D(
-            points * eps_h, weights, heat_variance(scheme, cycles, sigma)
-        )
+        return GaussianMixture1D(points * eps_h, weights, covariance[1, 1])
     a, b = points[:, 0], points[:, 1]
     work = a * eps_c + b * eps_h
     if observable == "work":
-        return GaussianMixture1D(work, weights, work_variance(scheme, cycles, sigma))
+        return GaussianMixture1D(work, weights, covariance[0, 0])
     if observable == "joint":
         centers = np.stack([work, -b * eps_h], axis=1)
-        return GaussianMixture2D(
-            centers, weights, joint_covariance(scheme, cycles, sigma)
-        )
+        return GaussianMixture2D(centers, weights, covariance)
     raise ValueError(f"unknown observable {observable!r}")
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .asymptotics import (
     asymptotic_work_heat,
     derive_timed_config,
+    initial_state,
     prepare_initial_state,
-    resolve_initial_state,
 )
 from .engine import (
     JOINT_SCHEMES,
@@ -33,11 +33,9 @@ from .engine import (
     build_model,
     contact_suppression,
     cycle_increments,
-    heat_variance,
-    joint_covariance,
+    pointer_covariance,
     require_sector_separation,
     tilted_cycle_coefficients,
-    work_variance,
 )
 from .superop import trace_of_vec, vec
 
@@ -149,14 +147,13 @@ def closed_form_moments(
     forms = {}
     for label, scheme in READOUTS:
         scale = w_h**2 if scheme == "RM" else 1.0
+        pointers = pointer_covariance(scheme, 1, sigma)
         forms[label] = MomentSet(
             base.mean_work + scale * (osc_mean * coherence),
             base.mean_heat,
-            base.second_work
-            + scale * (osc_second * coherence)
-            + work_variance(scheme, 1, sigma),
-            base.second_heat + heat_variance(scheme, 1, sigma),
-            base.cross + float(joint_covariance(scheme, 1, sigma)[0, 1]),
+            base.second_work + scale * (osc_second * coherence) + pointers[0, 0],
+            base.second_heat + pointers[1, 1],
+            base.cross + float(pointers[0, 1]),
         )
     return forms, initial
 
@@ -241,7 +238,7 @@ def moment_series(
             [weighted(x * q), k_q, k_w, zero, zero, k0],
         ]
     )
-    rho = resolve_initial_state(model, initial)
+    rho = initial_state(model, initial=initial)
     stack = np.zeros((24, 2), dtype=complex)
     for column, observable in enumerate(OBSERVABLES):
         stack[:4, column] = vec(prepare_initial_state(model, scheme, observable, rho))
@@ -252,13 +249,14 @@ def moment_series(
         stack = step @ stack
         # Block traces; column 0 starts from the work state, 1 from the heat one.
         tr = trace_of_vec(stack.reshape(6, 4, 2).transpose(0, 2, 1)).real
-        cross = tr[5, 0] + joint_covariance(scheme, n, sigma)[0, 1] if joint else np.nan
+        pointers = pointer_covariance(scheme, n, sigma)
+        cross = tr[5, 0] + pointers[0, 1] if joint else np.nan
         out.append(
             MomentSet(
                 float(tr[1, 0]),
                 float(tr[2, 1]),
-                float(2.0 * tr[3, 0] + work_variance(scheme, n, sigma)),
-                float(2.0 * tr[4, 1] + heat_variance(scheme, n, sigma)),
+                float(2.0 * tr[3, 0] + pointers[0, 0]),
+                float(2.0 * tr[4, 1] + pointers[1, 1]),
                 float(cross),
             )
         )

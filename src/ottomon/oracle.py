@@ -5,8 +5,8 @@ cycle counts: it weights every branch pair of both monitoring schemes
 directly from the definition, without the lattice reduction, and sums the
 weights per integer lattice point.  The accumulated-pointer suppression
 factors are computed from the aggregate energy-record differences of each
-full branch chain, which is what the lattice module's initial-state fold
-must reproduce.
+full branch chain, which is what the initial-state fold of
+``asymptotics.prepare_initial_state`` must reproduce.
 """
 from __future__ import annotations
 
@@ -208,9 +208,7 @@ def enumerate_branches(
             f"enumeration supports 1..{ORACLE_CYCLE_LIMIT} cycles, got {cycles}"
         )
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    if initial is None:
-        initial = initial_state(model.config, model)
-    state = _enumerate_arrays(model, cycles, np.asarray(initial, dtype=complex))
+    state = _enumerate_arrays(model, cycles, initial_state(model, initial=initial))
     values = state.ops[:, 0] + state.ops[:, 3]
     return BranchTable(model, state.a, state.b, values, *_suppressions(state, model))
 

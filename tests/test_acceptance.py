@@ -96,7 +96,7 @@ def test_criterion_01_finite_coupling_equilibrium_state():
 def test_criterion_02_adiabatic_engine_efficiency(adiabatic_perfect_config):
     start = time.perf_counter()
     model = build_model(adiabatic_perfect_config)
-    rho0 = initial_state(adiabatic_perfect_config, model)
+    rho0 = initial_state(model)
     for name, scheme in (("RM", "RM"), ("RC", "RC2")):
         mix = enumerated_mixture(model, scheme, "joint", 1, initial=rho0)
         moments = MomentSet(*mix.moments())
@@ -109,7 +109,7 @@ def test_criterion_02_adiabatic_engine_efficiency(adiabatic_perfect_config):
 def test_criterion_03_lattice_recursion_matches_enumeration(default_config):
     start = time.perf_counter()
     model = build_model(default_config)
-    rho0 = initial_state(default_config, model)
+    rho0 = initial_state(model)
     for cycles in (1, 2):
         table = enumerate_branches(model, cycles, initial=rho0)
         for scheme in SCHEMES:
@@ -138,7 +138,7 @@ def test_criterion_04_closed_form_moment_regression(default_config):
         init="gibbs_cold",
     )
     model = build_model(config)
-    forms, target_cold = closed_form_moments(model, initial_state(config, model))
+    forms, target_cold = closed_form_moments(model, initial_state(model))
     for name, scheme in (("RM", "RM"), ("RC", "RC2")):
         mix = enumerated_mixture(model, scheme, "joint", 1, initial=target_cold)
         numeric = np.array(mix.moments())
@@ -148,7 +148,7 @@ def test_criterion_04_closed_form_moment_regression(default_config):
     # closed forms carry the interference and width corrections exactly.
     model_l = build_model(default_config)
     analytic, rho_diag = closed_form_moments(
-        model_l, initial_state(default_config, model_l)
+        model_l, initial_state(model_l)
     )
     for name, scheme in (("RM", "RM"), ("RC", "RC2")):
         mix = enumerated_mixture(model_l, scheme, "joint", 1, initial=rho_diag)
@@ -179,7 +179,7 @@ def test_criterion_04_closed_form_moment_regression(default_config):
 
 def test_criterion_05_adiabatic_work_peak_structure(adiabatic_perfect_config):
     model = build_model(adiabatic_perfect_config)
-    rho0 = initial_state(adiabatic_perfect_config, model)
+    rho0 = initial_state(model)
     enumeration = enumerate_branches(model, 1, initial=rho0)
     eps_c = adiabatic_perfect_config.eps_c
     eps_h = adiabatic_perfect_config.eps_h
@@ -250,7 +250,7 @@ def test_criterion_07_pointer_scheme_equivalence(
     # kernel, which refuses to build; the enumeration route carries the
     # comparison instead.
     model_a = build_model(adiabatic_perfect_config)
-    rho_a = initial_state(adiabatic_perfect_config, model_a)
+    rho_a = initial_state(model_a)
     assert _pointer_scheme_work_gap(model_a, rho_a) <= 1e-12
     with pytest.raises(ValueError, match="mixes population and coherence"):
         lattice_points(model_a, "RC1", "work", 1)
@@ -260,7 +260,7 @@ def test_criterion_07_pointer_scheme_equivalence(
     for alpha in (0.05, 0.3):
         config = EngineConfig(stroke=DirectStroke(alpha=alpha, phi=0.0))
         model = build_model(config)
-        rho0 = initial_state(config, model)
+        rho0 = initial_state(model)
         assert _pointer_scheme_work_gap(model, rho0) <= 1e-12, alpha
         one = _lattice_weights(model, "RC1", "work", 2, rho0)
         two = _lattice_weights(model, "RC2", "work", 2, rho0)
@@ -272,7 +272,7 @@ def test_criterion_07_pointer_scheme_equivalence(
     # lattice kernel fails closed on it.
     control = EngineConfig(sigma=2.0)
     corrupted = build_model(control)
-    rho_c = initial_state(control, corrupted)
+    rho_c = initial_state(corrupted)
     angle = 0.4
     rotation = np.array(
         [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]],

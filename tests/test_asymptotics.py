@@ -212,7 +212,7 @@ def test_asymptotic_work_perfect_zero_width_equals_chain_mean() -> None:
         thermo=PerfectThermo(beta_c=0.25, beta_h=0.025),
     )
     model = build_model(config)
-    forms, _ = closed_form_moments(model, initial_state(config, model))
+    forms, _ = closed_form_moments(model, initial_state(model))
     for label, scheme in READOUTS:
         assert asymptotic_work_heat(config, scheme)[0] == pytest.approx(
             forms[label].mean_work, abs=1e-12
@@ -325,4 +325,15 @@ def test_initial_state_kinds(default_config) -> None:
     )
     assert custom[1, 1].real == pytest.approx(0.27)
     assert custom[1, 0] == pytest.approx(0.01)
+
+
+def test_initial_state_takes_a_config_or_a_model(default_config) -> None:
+    model = build_model(default_config)
+    assert_allclose(initial_state(model), initial_state(default_config), atol=0)
+    given = np.array([[0.7, 0.1], [0.1, 0.3]])
+    assert_allclose(initial_state(model, initial=given), given, atol=0)
+    assert initial_state(default_config, initial=given).dtype == complex
+    # The given state is keyword-only, so a model in its place is refused.
+    with pytest.raises(TypeError):
+        initial_state(default_config, model)
 

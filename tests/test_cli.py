@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from ottomon.asymptotics import (
     asymptotic_work_heat,
@@ -75,6 +76,21 @@ def test_pdf_heat_splits_the_single_pointer_column(capsys):
     assert np.abs(rc1 - rc2).max() > 1e-6
     assert abs(np.trapezoid(rc1, grid) - 1.0) < 1e-5
     assert abs(np.trapezoid(rc2, grid) - 1.0) < 1e-5
+
+
+def test_pdf_header_does_not_depend_on_the_data(capsys):
+    # From a diagonal start the single- and two-pointer heat densities
+    # coincide; heat still prints both columns, and work never prints rc1.
+    argv = ("--init", "gibbs_cold", "--cycles", "1", "--points", "257")
+    code, out, _ = run_cli(capsys, "pdf", "--observable", "heat", *argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["value", "density_rm", "density_rc", "density_rc1"]
+    rc1 = column(header, rows, "density_rc1")
+    assert_allclose(rc1, column(header, rows, "density_rc"), rtol=1e-12)
+    code, out, _ = run_cli(capsys, "pdf", "--observable", "work", *argv)
+    assert code == 0
+    assert parse_csv(out)[0] == ["value", "density_rm", "density_rc"]
 
 
 def test_pdf_json_mirrors_the_component_mixture(capsys):
@@ -298,7 +314,7 @@ def test_moments_from_generalized_gibbs_read_the_bath_cutoff(capsys):
 
 
 def test_moments_single_cycle_reports_closed_forms(capsys):
-    code, out, _ = run_cli(capsys, "moments", "--cycles", "1")
+    code, out, _ = run_cli(capsys, "moments", "--cycles", "1", "--init", "gibbs_cold")
     assert code == 0
     header, rows = parse_csv(out)
     by_scheme = {row[header.index("scheme")]: row for row in rows}
@@ -310,17 +326,27 @@ def test_moments_single_cycle_reports_closed_forms(capsys):
     assert rm_heat == pytest.approx(rc2_heat, rel=1e-9)
     for scheme in ("RM", "RC2"):
         row = by_scheme[scheme]
-        numeric = float(row[header.index("mean_work")])
-        analytic = float(row[header.index("analytic_mean_work")])
-        # The closed form drops the small invariant-state coherence.
-        assert analytic == pytest.approx(numeric, abs=1e-5)
-        assert row[header.index("analytic_mean_heat")] != ""
+        # A diagonal start is the closed forms' own, so they are exact.
+        for name in ("mean_work", "var_work", "mean_heat", "var_heat"):
+            numeric = float(row[header.index(name)])
+            analytic = float(row[header.index(f"analytic_{name}")])
+            assert analytic == pytest.approx(numeric, rel=1e-9), (scheme, name)
         assert row[header.index("analytic_efficiency")] != ""
     rc1 = by_scheme["RC1"]
     assert rc1[header.index("analytic_mean_work")] != ""
     assert rc1[header.index("analytic_reliability")] != ""
     for name in ("analytic_mean_heat", "analytic_var_heat", "analytic_efficiency"):
         assert rc1[header.index(name)] == ""
+    # The default invariant start carries coherence that the closed forms
+    # drop, so they would describe a different state.
+    code, out, _ = run_cli(capsys, "moments", "--cycles", "1")
+    assert code == 0
+    header, rows = parse_csv(out)
+    analytic = [i for i, name in enumerate(header) if name.startswith("analytic_")]
+    assert analytic
+    for row in rows:
+        assert row[header.index("mean_work")] != ""
+        assert all(row[i] == "" for i in analytic)
 
 
 def test_sweep_single_point_matches_library_routes(capsys):

@@ -88,7 +88,7 @@ def test_single_cycle_recursion_matches_perfect_closed_forms(seed) -> None:
     beta_c = float(rng.uniform(0.1, 1.0))
     thermo = PerfectThermo(beta_c=beta_c, beta_h=float(rng.uniform(0.01, beta_c)))
     model = build_model(EngineConfig(**_draw_levels(rng), thermo=thermo))
-    expected, rho0 = closed_form_moments(model, initial_state(model.config, model))
+    expected, rho0 = closed_form_moments(model, initial_state(model))
     rm, rc1, rc2 = (moment_series(model, s, 1, rho0)[0] for s in SCHEMES)
     assert _relative_deviation(rm, expected["RM"]) <= MOMENT_TOL
     assert _relative_deviation(rc2, expected["RC"]) <= MOMENT_TOL
@@ -106,7 +106,7 @@ def test_single_cycle_recursion_matches_finite_time_closed_forms(
     # The forms are exact at one cycle from the diagonal of the initial state,
     # whatever the pointer overlap; the cycle count of the draw is not used.
     model = build_model(config)
-    forms, initial = closed_form_moments(model, initial_state(config, model))
+    forms, initial = closed_form_moments(model, initial_state(model))
     for label, scheme in READOUTS:
         final = moment_series(model, scheme, 1, initial)[0]
         deviation = _relative_deviation(final, forms[label])
@@ -132,7 +132,7 @@ def test_enumeration_matches_lattice_weights(config) -> None:
     # Lindblad channels keep the population and coherence sectors apart, so
     # the sector check admits every scheme.
     model = build_model(config)
-    rho0 = initial_state(config, model)
+    rho0 = initial_state(model)
     for cycles in (1, 2):
         table = enumerate_branches(model, cycles, initial=rho0)
         for scheme in SCHEMES:

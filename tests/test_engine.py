@@ -18,12 +18,10 @@ from ottomon.engine import (
     build_model,
     contact_suppression,
     cycle_increments,
-    heat_variance,
-    joint_covariance,
     perfect_targets,
+    pointer_covariance,
     resolve_stroke_params,
     tilted_cycle_coefficients,
-    work_variance,
 )
 from ottomon.lattice import mixture_from_points
 from ottomon.oracle import tabulate_cycle_branches
@@ -175,22 +173,14 @@ def test_contact_suppression_values() -> None:
 def test_variance_helpers_scale_with_scheme_and_cycles() -> None:
     sigma = 0.2
     for cycles in (1, 7):
-        assert work_variance("RM", cycles, sigma) == pytest.approx(
-            4.0 * cycles * sigma**2
-        )
-        assert heat_variance("RM", cycles, sigma) == pytest.approx(
-            2.0 * cycles * sigma**2
+        rm = pointer_covariance("RM", cycles, sigma)
+        assert rm[0, 0] == 4.0 * cycles * sigma**2
+        assert rm[1, 1] == 2.0 * cycles * sigma**2
+        assert_allclose(
+            rm, 2.0 * cycles * sigma**2 * np.array([[2.0, -1.0], [-1.0, 1.0]])
         )
         for scheme in ("RC1", "RC2"):
-            assert work_variance(scheme, cycles, sigma) == pytest.approx(sigma**2)
-            assert heat_variance(scheme, cycles, sigma) == pytest.approx(sigma**2)
-        assert_allclose(
-            joint_covariance("RM", cycles, sigma),
-            2.0 * cycles * sigma**2 * np.array([[2.0, -1.0], [-1.0, 1.0]]),
-        )
-        assert_allclose(
-            joint_covariance("RC2", cycles, sigma), sigma**2 * np.eye(2)
-        )
+            assert_allclose(pointer_covariance(scheme, cycles, sigma), sigma**2 * np.eye(2))
 
 
 def test_resolve_stroke_params_direct_and_sweep() -> None:

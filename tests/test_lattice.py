@@ -13,8 +13,6 @@ from ottomon.asymptotics import prepare_initial_state
 from ottomon.engine import (
     MAX_SHIFT,
     build_model,
-    fold_initial_state_rc,
-    fold_required,
     tilted_cycle_coefficients,
 )
 from ottomon.lattice import (
@@ -58,22 +56,31 @@ def test_lattice_matches_enumeration_for_two_cycles(default_config) -> None:
 
 
 def test_fold_scales_only_the_coherences() -> None:
+    model = build_model(EngineConfig(sigma=1.0))
     rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
-    folded = fold_initial_state_rc(rho, sigma=1.0, eps_c=1.0)
+    folded = prepare_initial_state(model, "RC2", "work", rho)
     factor = np.exp(-0.5)
-    assert folded[0, 0] == pytest.approx(0.6)
-    assert folded[1, 1] == pytest.approx(0.4)
+    assert folded[0, 0] == 0.6
+    assert folded[1, 1] == 0.4
     assert folded[1, 0] == pytest.approx(factor * (0.2 - 0.1j))
     assert folded[0, 1] == pytest.approx(factor * (0.2 + 0.1j))
+    assert_allclose(rho[0, 1], 0.2 + 0.1j, atol=0)
 
 
 def test_fold_requirement_table() -> None:
-    assert not fold_required("RM", "work")
-    assert not fold_required("RM", "heat")
-    assert fold_required("RC1", "work")
-    assert not fold_required("RC1", "heat")
-    assert fold_required("RC2", "work")
-    assert fold_required("RC2", "heat")
+    model = build_model(EngineConfig(sigma=1.0))
+    rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
+    folds = {
+        ("RM", "work"): False,
+        ("RM", "heat"): False,
+        ("RC1", "work"): True,
+        ("RC1", "heat"): False,
+        ("RC2", "work"): True,
+        ("RC2", "heat"): True,
+    }
+    for (scheme, observable), folded in folds.items():
+        prepared = prepare_initial_state(model, scheme, observable, rho)
+        assert (prepared[0, 1] != rho[0, 1]) == folded, (scheme, observable)
 
 
 def test_accumulated_pointer_kernel_fails_closed_on_sector_mixing(default_config) -> None:

@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ottomon import validation
 from ottomon.config import load_engine_config
-from ottomon.engine import EngineConfig, LindbladThermo
+from ottomon.engine import EngineConfig, LindbladThermo, build_model
 from ottomon.validation import (
     CheckResult,
     ValidationReport,
@@ -130,6 +131,34 @@ def test_dissipationless_configuration_skips_state_legs():
     # degenerate by design and the check asserts exactly that.
     assert by_name["fixed_point_degeneracy_rc"].status == "pass"
     assert not any(name.startswith("enumeration_vs_lattice") for name in by_name)
+
+
+@pytest.mark.parametrize("overrides", [{"gamma": 1e-11}, {"theta": 1e-9}])
+def test_unresolved_spectral_gap_passes_the_fixed_point_leg(overrides):
+    # The RC gap 1 - |lambda2| (2.1e-10 and 5.1e-11 here) is real but under
+    # DEGENERACY_TOL, so the fixed point cannot be resolved.
+    config, _ = load_engine_config(None, overrides)
+    report = run_validation(config)
+    assert report.passed, [r.line() for r in report.results if r.failed]
+    leg = {r.name: r for r in report.results}["fixed_point_unique_rc"]
+    assert leg.status == "pass"
+    assert "cannot be resolved" in leg.detail
+
+
+def test_dissipative_map_without_a_gap_fails_the_fixed_point_leg(monkeypatch):
+    # A gap under round-off (gamma = 1e-14 reads 2.1e-13) or none at all
+    # stays a failure under dissipation.
+    config, _ = load_engine_config(None, {"gamma": 1e-14})
+    by_name = {r.name: r for r in run_validation(config).results}
+    assert by_name["fixed_point_unique_rc"].status == "fail"
+    monkeypatch.setattr(
+        validation,
+        "build_cycle_superoperator",
+        lambda model, scheme: np.eye(4, dtype=complex),
+    )
+    for result in validation._check_spectra(build_model(EngineConfig())):
+        if result.name.startswith("fixed_point"):
+            assert result.status == "fail", result.name
 
 
 def test_sector_mixing_skips_only_the_accumulated_pointer_legs(
