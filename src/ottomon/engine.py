@@ -129,6 +129,12 @@ class EngineConfig:
             raise ValueError("need eps_h > eps_c > 0")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
+        # The pointer overlaps and the sweep exponent square these values.
+        squared = {"eps_c": self.eps_c, "eps_h": self.eps_h, "sigma": self.sigma}
+        squared["eps_h / eps_c"] = self.eps_h / self.eps_c
+        for key, value in squared.items():
+            if value != 0.0 and not 0.0 < value * value < np.inf:
+                raise ValueError(f"{key} squared overflows or underflows ({value:g})")
         if self.cycles < 1:
             raise ValueError("cycles must be at least 1")
         if self.scheme not in SCHEMES:

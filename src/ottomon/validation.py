@@ -13,6 +13,7 @@ callers confirm the cross-route comparisons actually bite.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -29,17 +30,11 @@ from .engine import (
     READOUTS,
     SCHEMES,
     EngineConfig,
-    EngineModel,
     LindbladThermo,
     build_model,
     require_sector_separation,
 )
-from .lattice import (
-    as_weight_table,
-    lattice_points,
-    marginal_via_lattice,
-    mixture_from_points,
-)
+from .lattice import as_weight_table, lattice_points, mixture_from_points
 from .mixtures import prune_components
 from .moments import closed_form_moments, moment_series
 from .oracle import enumerate_branches, point_weights
@@ -54,9 +49,6 @@ CENTER_FLOOR = 1e-13
 # Half-width of the density integration window around each kept center.
 DENSITY_PAD_STDS = 8.0
 DENSITY_CYCLE_CAP = 10
-# Smallest spectral gap told apart from round-off (a map with no dissipation
-# reads about 5.6e-16).
-GAP_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,15 +114,6 @@ def _compare(
     return CheckResult(name, status, float(deviation), tolerance, detail)
 
 
-def _sector_skip_reason(model: EngineModel) -> str | None:
-    """Why the accumulated-pointer legs cannot run here, or None."""
-    try:
-        require_sector_separation(model, "RC2")
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def compare_weight_tables(reference: dict, candidate: dict) -> tuple[float, str]:
     """Largest pointwise weight deviation over the union of lattice points.
 
@@ -153,19 +136,46 @@ def compare_weight_tables(reference: dict, candidate: dict) -> tuple[float, str]
     return float(np.max(deviations, initial=0.0)), detail
 
 
-def _random_density_matrices(count: int, rng: np.random.Generator) -> np.ndarray:
-    raw = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
-    rhos = raw @ raw.conj().transpose(0, 2, 1)
-    traces = np.einsum("kii->k", rhos).real
-    return rhos / traces[:, None, None]
+class _Routes:
+    """The routes of one validation run, each built on first use and kept.
+
+    ``rho0`` is None when the starting state cannot be resolved, and
+    ``rc_skip`` says why the accumulated-pointer legs cannot run, or is None.
+    """
+
+    def __init__(self, config: EngineConfig, suppression_scale: float) -> None:
+        self.model = model = build_model(config)
+        self.cycles = config.cycles
+        self.scale = suppression_scale
+        try:
+            rho0 = initial_state(model)
+        except DegenerateFixedPointError:
+            rho0 = None
+        self.rho0 = rho0
+        try:
+            require_sector_separation(model, "RC2")
+            self.rc_skip = None
+        except ValueError as exc:
+            self.rc_skip = str(exc)
+        self.cycle_map = cache(partial(build_cycle_superoperator, model))
+        self.table = cache(partial(enumerate_branches, model, initial=rho0))
+        self.moments = cache(partial(moment_series, model, initial=rho0))
+        self._lattice = cache(partial(lattice_points, model, initial=rho0))
+
+    def lattice(self, scheme: str, observable: str, cycles: int):
+        # One and two accumulated pointers fold the work lattice alike.
+        rc1_work = (scheme, observable) == ("RC1", "work")
+        return self._lattice("RC2" if rc1_work else scheme, observable, cycles)
 
 
-def _check_channel_properties(model: EngineModel) -> list[CheckResult]:
+def _channel_legs(routes: _Routes) -> list[CheckResult]:
     rng = np.random.default_rng(7)
-    rhos = _random_density_matrices(50, rng)
+    raw = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+    rhos = raw @ raw.conj().transpose(0, 2, 1)
+    rhos /= np.einsum("kii->k", rhos).real[:, None, None]
     results = []
     for label, scheme in READOUTS:
-        sop = build_cycle_superoperator(model, scheme)
+        sop = routes.cycle_map(scheme)
         trace_dev = 0.0
         min_eig = np.inf
         for rho in rhos:
@@ -188,34 +198,22 @@ def _check_channel_properties(model: EngineModel) -> list[CheckResult]:
     return results
 
 
-def _check_oracle_vs_lattice(
-    model: EngineModel,
-    rho0: np.ndarray,
-    cycles: int,
-    scale: float,
-    rc_skip: str | None,
-) -> list[CheckResult]:
+def _enumeration_legs(routes: _Routes) -> list[CheckResult]:
     results = []
-    ns = sorted({1, min(cycles, 2)})
-    for n in ns:
-        table = enumerate_branches(model, n, initial=rho0)
+    for n in sorted({1, min(routes.cycles, 2)}):
         for scheme in SCHEMES:
             for observable in OBSERVABLES:
                 name = f"enumeration_vs_lattice_{scheme.lower()}_{observable}_n{n}"
-                if scheme != "RM" and rc_skip:
-                    results.append(CheckResult(name, "skip", detail=rc_skip))
+                if scheme != "RM" and routes.rc_skip:
+                    results.append(CheckResult(name, "skip", detail=routes.rc_skip))
                     continue
                 reference = as_weight_table(
-                    *point_weights(table, scheme, observable, scale)
+                    *point_weights(routes.table(n), scheme, observable, routes.scale)
                 )
-                candidate = as_weight_table(
-                    *lattice_points(model, scheme, observable, n, rho0)
-                )
+                candidate = as_weight_table(*routes.lattice(scheme, observable, n))
                 deviation, detail = compare_weight_tables(reference, candidate)
                 status = "pass" if deviation <= WEIGHT_TOL and not detail else "fail"
-                results.append(
-                    CheckResult(name, status, deviation, WEIGHT_TOL, detail)
-                )
+                results.append(CheckResult(name, status, deviation, WEIGHT_TOL, detail))
     return results
 
 
@@ -225,11 +223,10 @@ def _moment_deviation(numeric: tuple[float, ...], analytic: tuple[float, ...]) -
     return float(np.max(deviations, initial=0.0))
 
 
-def _check_analytic_moments(
-    model: EngineModel, rho0: np.ndarray
-) -> list[CheckResult]:
+def _analytic_legs(routes: _Routes) -> list[CheckResult]:
     """Single-cycle enumerated joint moments against the closed forms."""
-    expected, initial = closed_form_moments(model, rho0)
+    model = routes.model
+    expected, initial = closed_form_moments(model, routes.rho0)
     if expected is None:
         return [
             CheckResult(
@@ -281,15 +278,14 @@ def _density_windows(mix) -> list[np.ndarray]:
     return windows
 
 
-def _check_lattice_marginals(
-    model: EngineModel, rho0: np.ndarray, cycles: int, rc_skip: str | None
-) -> list[CheckResult]:
+def _marginal_legs(routes: _Routes) -> list[CheckResult]:
     """Density legs and recursion-vs-lattice moment legs on the marginals.
 
     Both read the same lattice mixtures after min(cycles, DENSITY_CYCLE_CAP)
     cycles, so the moment recursion and the lattice check each other at no
     extra lattice cost.
     """
+    model = routes.model
     results = []
     densities = model.sigma > 0.0
     if not densities:
@@ -300,23 +296,25 @@ def _check_lattice_marginals(
                 detail="zero pointer width, point-mass mixtures have no density",
             )
         )
-    n = min(cycles, DENSITY_CYCLE_CAP)
+    n = min(routes.cycles, DENSITY_CYCLE_CAP)
+    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
     for scheme in SCHEMES:
-        recursion = None
-        if scheme == "RM" or not rc_skip:
-            recursion = moment_series(model, scheme, n, rho0)[-1]
         for observable in OBSERVABLES:
             tag = f"{scheme.lower()}_{observable}_n{n}"
-            if recursion is None:
+            if scheme != "RM" and routes.rc_skip:
                 legs = []
                 if densities:
                     legs += ["density_normalization", "density_positivity"]
                 legs.append("moment_recursion_vs_lattice")
                 results.extend(
-                    CheckResult(f"{leg}_{tag}", "skip", detail=rc_skip) for leg in legs
+                    CheckResult(f"{leg}_{tag}", "skip", detail=routes.rc_skip)
+                    for leg in legs
                 )
                 continue
-            mix = marginal_via_lattice(model, scheme, observable, n, rho0)
+            mix = mixture_from_points(
+                *routes.lattice(scheme, observable, n),
+                scheme, observable, n, model.sigma, *eps,
+            )
             if densities:
                 windows = _density_windows(mix)
                 density = mix.density(np.concatenate(windows))
@@ -337,6 +335,7 @@ def _check_lattice_marginals(
                         "magnitude of the most negative density value",
                     )
                 )
+            recursion = routes.moments(scheme, n)[-1]
             if observable == "work":
                 moments = (recursion.mean_work, recursion.second_work)
             else:
@@ -352,14 +351,14 @@ def _check_lattice_marginals(
     return results
 
 
-def _check_spectra(model: EngineModel) -> list[CheckResult]:
+def _spectral_legs(routes: _Routes) -> list[CheckResult]:
+    thermo = routes.model.config.thermo
+    lindblad = isinstance(thermo, LindbladThermo)
+    # Dissipation per cycle; perfect thermalization always dissipates.
+    strength = thermo.gamma * thermo.theta if lindblad else np.inf
     results = []
-    thermo = model.config.thermo
-    dissipationless = (
-        isinstance(thermo, LindbladThermo) and thermo.gamma * thermo.theta == 0.0
-    )
     for label, scheme in READOUTS:
-        sop = build_cycle_superoperator(model, scheme)
+        sop = routes.cycle_map(scheme)
         report = spectrum(sop)
         suffix = label.lower()
         results.append(
@@ -375,7 +374,7 @@ def _check_spectra(model: EngineModel) -> list[CheckResult]:
             degenerate = False
         except DegenerateFixedPointError:
             degenerate = True
-        if dissipationless and scheme != "RM":
+        if strength == 0.0 and scheme != "RM":
             status = "pass" if degenerate else "fail"
             results.append(
                 CheckResult(
@@ -384,7 +383,7 @@ def _check_spectra(model: EngineModel) -> list[CheckResult]:
                     detail="no dissipation, a degenerate fixed point is expected",
                 )
             )
-        elif dissipationless:
+        elif strength == 0.0:
             # Contact dephasing still contracts at positive pointer width, so
             # either outcome is legitimate for per-stroke readout here.
             detail = "degenerate" if degenerate else "contracted by readout alone"
@@ -392,11 +391,12 @@ def _check_spectra(model: EngineModel) -> list[CheckResult]:
                 CheckResult(f"fixed_point_{suffix}", "pass", detail=detail)
             )
         else:
-            # Dissipation too weak to resolve leaves a real gap under
-            # DEGENERACY_TOL, which invariant_state reads as degenerate.
-            gap = 1.0 - report.lambda2
-            unresolved = degenerate and GAP_FLOOR < gap <= DEGENERACY_TOL
+            # Dissipation this weak leaves a gap under DEGENERACY_TOL, which
+            # invariant_state reads as degenerate; the gap itself may read at
+            # round-off, so the dissipation strength decides.
+            unresolved = degenerate and strength <= DEGENERACY_TOL
             if unresolved:
+                gap = 1.0 - report.lambda2
                 detail = (
                     f"spectral gap {gap:.1e} is below the degeneracy tolerance "
                     f"{DEGENERACY_TOL:.0e}; the fixed point cannot be resolved"
@@ -422,16 +422,14 @@ def run_validation(
 
     Enumeration legs are capped at two cycles internally (their cost grows
     exponentially); density and spectral legs follow the configured cycle
-    count up to a small cap.  ``suppression_scale`` is a negative-control
+    count up to a small cap.  Each route is built once per run and shared by
+    the legs that read it.  ``suppression_scale`` is a negative-control
     hook: any value other than 1 corrupts the enumeration-route weights and
     must make the report fail.
     """
-    model = build_model(config)
-    results: list[CheckResult] = []
-    results.extend(_check_channel_properties(model))
-    try:
-        rho0 = initial_state(model)
-    except DegenerateFixedPointError:
+    routes = _Routes(config, suppression_scale)
+    results = _channel_legs(routes)
+    if routes.rho0 is None:
         results.append(
             CheckResult(
                 "initial_state",
@@ -443,15 +441,9 @@ def run_validation(
                 ),
             )
         )
-        results.extend(_check_spectra(model))
-        return ValidationReport(tuple(results))
-    rc_skip = _sector_skip_reason(model)
-    results.extend(
-        _check_oracle_vs_lattice(
-            model, rho0, config.cycles, suppression_scale, rc_skip
-        )
-    )
-    results.extend(_check_analytic_moments(model, rho0))
-    results.extend(_check_lattice_marginals(model, rho0, config.cycles, rc_skip))
-    results.extend(_check_spectra(model))
+    else:
+        results += _enumeration_legs(routes)
+        results += _analytic_legs(routes)
+        results += _marginal_legs(routes)
+    results += _spectral_legs(routes)
     return ValidationReport(tuple(results))

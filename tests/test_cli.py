@@ -567,6 +567,25 @@ def test_non_finite_configuration_values_are_refused(capsys, key, value):
     assert f"{key} must be finite" in err
 
 
+OUT_OF_RANGE_CASES = [
+    ("sigma", ("validate", "--sigma", "1e-300")),
+    ("sigma", ("pdf", "--cycles", "1", "--sigma", "1e-200")),
+    ("sigma", ("moments", "--sigma", "1e300")),
+    ("eps_h", ("validate", "--eps_h", "1e200")),
+    ("eps_h / eps_c", ("lz", "--eps_c", "1e-100", "--eps_h", "1e100", "--t1", "1")),
+]
+
+
+@pytest.mark.parametrize("key, argv", OUT_OF_RANGE_CASES)
+def test_values_whose_square_leaves_the_float_range_are_refused(capsys, key, argv):
+    # The pointer overlaps and the sweep exponent square these values; an
+    # overflow or an underflow to zero used to escape as a traceback.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {key} squared")
+
+
 NON_FINITE_FLAGS = [
     ("pdf", "--grid-min", "-inf"),
     ("pdf", "--grid-max", "inf"),

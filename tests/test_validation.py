@@ -4,9 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ottomon import validation
+from ottomon import lattice, validation
 from ottomon.config import load_engine_config
-from ottomon.engine import EngineConfig, LindbladThermo, build_model
+from ottomon.engine import EngineConfig, LindbladThermo
 from ottomon.validation import (
     CheckResult,
     ValidationReport,
@@ -133,10 +133,22 @@ def test_dissipationless_configuration_skips_state_legs():
     assert not any(name.startswith("enumeration_vs_lattice") for name in by_name)
 
 
-@pytest.mark.parametrize("overrides", [{"gamma": 1e-11}, {"theta": 1e-9}])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"gamma": 1e-11},
+        {"theta": 1e-9},
+        {"gamma": 1e-14},
+        {"gamma": 1e-14, "init": "gibbs_cold"},
+        {"gamma": 1e-14, "sigma": 0.0},
+        {"theta": 1e-12},
+    ],
+)
 def test_unresolved_spectral_gap_passes_the_fixed_point_leg(overrides):
-    # The RC gap 1 - |lambda2| (2.1e-10 and 5.1e-11 here) is real but under
-    # DEGENERACY_TOL, so the fixed point cannot be resolved.
+    # The dissipation strength gamma * theta is positive but under
+    # DEGENERACY_TOL, so the fixed point cannot be resolved; the RC gap
+    # 1 - |lambda2| reads 2.1e-10 and 5.1e-11 for the first two, and at
+    # round-off (2.1e-13 and 5.2e-14) for gamma = 1e-14 and theta = 1e-12.
     config, _ = load_engine_config(None, overrides)
     report = run_validation(config)
     assert report.passed, [r.line() for r in report.results if r.failed]
@@ -146,19 +158,41 @@ def test_unresolved_spectral_gap_passes_the_fixed_point_leg(overrides):
 
 
 def test_dissipative_map_without_a_gap_fails_the_fixed_point_leg(monkeypatch):
-    # A gap under round-off (gamma = 1e-14 reads 2.1e-13) or none at all
-    # stays a failure under dissipation.
-    config, _ = load_engine_config(None, {"gamma": 1e-14})
-    by_name = {r.name: r for r in run_validation(config).results}
-    assert by_name["fixed_point_unique_rc"].status == "fail"
+    # An identity cycle map under the default dissipation has no gap at all.
     monkeypatch.setattr(
         validation,
         "build_cycle_superoperator",
         lambda model, scheme: np.eye(4, dtype=complex),
     )
-    for result in validation._check_spectra(build_model(EngineConfig())):
-        if result.name.startswith("fixed_point"):
-            assert result.status == "fail", result.name
+    report = run_validation(EngineConfig())
+    failed = {r.name for r in report.results if r.failed}
+    assert failed == {"fixed_point_unique_rm", "fixed_point_unique_rc"}
+
+
+@pytest.mark.parametrize("cycles, runs", [(1, 5), (2, 10), (5, 15)])
+def test_each_route_is_built_once_per_run(monkeypatch, cycles, runs):
+    # Enumeration legs run at n = 1 and min(cycles, 2), density and recursion
+    # legs at n = cycles; legs at the same n share a lattice, and the RC2
+    # work lattice serves RC1 work too.
+    built, maps = [], []
+    real_points = lattice.lattice_points
+    real_map = validation.build_cycle_superoperator
+
+    def count_points(engine, scheme, observable, n, initial=None):
+        built.append((scheme, observable, n))
+        return real_points(engine, scheme, observable, n, initial)
+
+    def count_maps(engine, scheme):
+        maps.append(scheme)
+        return real_map(engine, scheme)
+
+    monkeypatch.setattr(lattice, "lattice_points", count_points)
+    monkeypatch.setattr(validation, "lattice_points", count_points)
+    monkeypatch.setattr(validation, "build_cycle_superoperator", count_maps)
+    assert run_validation(EngineConfig(cycles=cycles)).passed
+    assert len(built) == len(set(built)) == runs
+    assert not [run for run in built if run[:2] == ("RC1", "work")]
+    assert sorted(maps) == ["RC2", "RM"]
 
 
 def test_sector_mixing_skips_only_the_accumulated_pointer_legs(
