@@ -22,8 +22,7 @@ from .engine import (
     LindbladThermo,
     build_model,
     contact_suppression,
-    cycle_increments,
-    tilted_cycle_coefficients,
+    tilted_sums,
 )
 from .qubit import gibbs_population, validate_density_matrix
 from .superop import TRACE_VEC, trace_of_vec, hermitize, vec, unvec
@@ -56,7 +55,7 @@ def build_cycle_superoperator(
     K(1, 1), a 4x4 matrix acting on column-stacked states.
     """
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    return tilted_cycle_coefficients(model, scheme).sum(axis=(0, 1))
+    return tilted_sums(model, scheme)[0]
 
 
 def spectrum(matrix: np.ndarray) -> SpectrumReport:
@@ -149,17 +148,13 @@ def asymptotic_work_heat(
 ) -> tuple[float, float]:
     """Mean work and hot-bath heat per cycle once the invariant state is reached.
 
-    Weights the per-cycle lattice increments (:func:`cycle_increments`) by the
-    traces of the tilted-map coefficients G[a, b] at the fixed point of
-    K(1, 1): work is the sum of (a*eps_c + b*eps_h) Tr[G rho] and heat of
-    -b*eps_h Tr[G rho].  Per-stroke readout carries the per-contact
-    suppression factors in G.
+    Tr[K_w rho] and Tr[K_q rho] at the fixed point rho of K(1, 1), from
+    :func:`tilted_sums`; per-stroke readout carries its suppression in them.
     """
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    coeffs = tilted_cycle_coefficients(model, scheme)
-    rho = invariant_state(coeffs.sum(axis=(0, 1)))
-    traces = trace_of_vec(coeffs @ vec(rho))
-    work, heat = (complex((traces * inc).sum()) for inc in cycle_increments(model))
+    k0, k_w, k_q = tilted_sums(model, scheme)[:3]
+    rho = vec(invariant_state(k0))
+    work, heat = (complex(trace_of_vec(k @ rho)) for k in (k_w, k_q))
     for name, total in (("work", work), ("heat", heat)):
         if abs(total.imag) > 1e-12:
             raise RuntimeError(

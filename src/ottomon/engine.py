@@ -5,9 +5,10 @@ work strokes and the two thermalization strokes.  Tilting every contact by a
 counting variable of the energy it records turns the cycle into a 4x4
 superoperator whose entries are Laurent polynomials in the two work-lattice
 variables (full counting statistics); its coefficients are the per-cycle
-transfer operators grouped by integer lattice increment, from which the
-lattice kernel, the cycle map and the asymptotic rates all follow.  The
-pointers add Gaussian noise to every record (:func:`pointer_covariance`);
+transfer operators grouped by integer lattice increment.  The lattice applies
+the four contacts (:func:`cycle_contacts`) directly; :func:`tilted_sums`
+reduces the coefficients to the cycle map, the moment step and the rates.
+The pointers add Gaussian noise to every record (:func:`pointer_covariance`);
 the accumulated ones reach the state only through a fold of the initial
 state (``asymptotics.prepare_initial_state``), valid on thermal channels
 that keep the population and coherence sectors apart.
@@ -325,6 +326,18 @@ def cycle_increments(model: EngineModel) -> tuple[np.ndarray, np.ndarray]:
     work = steps[:, None] * model.h_cold.epsilon + steps[None, :] * model.h_hot.epsilon
     heat = np.broadcast_to(-steps[None, :] * model.h_hot.epsilon, work.shape)
     return work, heat
+
+
+def tilted_sums(model: EngineModel, scheme: str) -> np.ndarray:
+    """Zero-field sums of the tilted-map coefficients G, as one (6, 4, 4) array.
+
+    K0 = sum G, the cycle map K(1, 1), then sum x G, q G, x^2 G, q^2 G and
+    x q G, with x and q the work and heat increments (:func:`cycle_increments`).
+    """
+    coeffs = tilted_cycle_coefficients(model, scheme)
+    x, q = cycle_increments(model)
+    weighted = np.einsum("kab,abij->kij", np.array([x, q, x * x, q * q, x * q]), coeffs)
+    return np.concatenate([coeffs.sum(axis=(0, 1))[None], weighted])
 
 
 def pointer_covariance(scheme: str, cycles: int, sigma: float) -> np.ndarray:

@@ -32,10 +32,9 @@ from .engine import (
     LindbladThermo,
     build_model,
     contact_suppression,
-    cycle_increments,
     pointer_covariance,
     require_sector_separation,
-    tilted_cycle_coefficients,
+    tilted_sums,
 )
 from .superop import trace_of_vec, vec
 
@@ -205,11 +204,11 @@ def moment_series(
         s <- K0 s + K1 d + K2 v / 2           (per observable)
         c <- K0 c + K_w d_q + K_q d_w + K_wq v
 
-    with K0 = sum G, K1 = sum x G, K2 = sum x^2 G, K_wq = sum x q G, and give
-    <X> = Tr d, <X^2> = 2 Tr s and <WQ> = Tr c; the pointer terms are added
-    as in the assembled mixtures.  Work and heat start from their own
-    prepared initial states; RC1 folds only the work one and has no joint
-    record, so its cross moment is nan.
+    with K0 = sum G, K1 = sum x G, K2 = sum x^2 G and K_wq = sum x q G (the
+    sums of :func:`engine.tilted_sums`), and give <X> = Tr d, <X^2> = 2 Tr s
+    and <WQ> = Tr c; the pointer terms are added as in the assembled mixtures.
+    Work and heat start from their own prepared initial states; RC1 folds only
+    the work one and has no joint record, so its cross moment is nan.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -217,14 +216,7 @@ def moment_series(
         raise ValueError(f"scheme must be one of {SCHEMES}")
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
     require_sector_separation(model, scheme)
-    coeffs = tilted_cycle_coefficients(model, scheme)
-    x, q = cycle_increments(model)
-
-    def weighted(increment: np.ndarray) -> np.ndarray:
-        return np.einsum("ab,abij->ij", increment, coeffs)
-
-    k0 = coeffs.sum(axis=(0, 1))
-    k_w, k_q = weighted(x), weighted(q)
+    k0, k_w, k_q, k_ww, k_qq, k_wq = tilted_sums(model, scheme)
     zero = np.zeros((4, 4), dtype=complex)
     # Block lower-triangular step of the coefficient stack (v, d_w, d_q, s_w,
     # s_q, c).
@@ -233,9 +225,9 @@ def moment_series(
             [k0, zero, zero, zero, zero, zero],
             [k_w, k0, zero, zero, zero, zero],
             [k_q, zero, k0, zero, zero, zero],
-            [0.5 * weighted(x * x), k_w, zero, k0, zero, zero],
-            [0.5 * weighted(q * q), zero, k_q, zero, k0, zero],
-            [weighted(x * q), k_q, k_w, zero, zero, k0],
+            [0.5 * k_ww, k_w, zero, k0, zero, zero],
+            [0.5 * k_qq, zero, k_q, zero, k0, zero],
+            [k_wq, k_q, k_w, zero, zero, k0],
         ]
     )
     rho = initial_state(model, initial=initial)

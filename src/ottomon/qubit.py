@@ -135,5 +135,12 @@ def landau_zener_params(eps_c: float, eps_h: float, t1: float) -> WorkStrokePara
 
 
 def gibbs_population(beta: float, epsilon: float) -> float:
-    """Excited-level population of the Gibbs state at inverse temperature beta."""
-    return float(np.exp(-beta * epsilon) / (2.0 * np.cosh(beta * epsilon)))
+    """Excited-level population of the Gibbs state at inverse temperature beta.
+
+    Past |beta epsilon| = 700, near the overflow of cosh, it is the exact
+    double limit: 0 for beta epsilon > 0 and 1 below.
+    """
+    exponent = beta * epsilon
+    if abs(exponent) > 700.0:
+        return 0.0 if exponent > 0 else 1.0
+    return float(np.exp(-exponent) / (2.0 * np.cosh(exponent)))

@@ -12,7 +12,7 @@ callers confirm the cross-route comparisons actually bite.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 
 import numpy as np
@@ -260,21 +260,24 @@ def _analytic_legs(routes: _Routes) -> list[CheckResult]:
     return results
 
 
-def _density_windows(mix) -> list[np.ndarray]:
+def _density_windows(mix) -> list[tuple[float, np.ndarray]]:
     """Integration grids that resolve every component the density keeps.
 
     Each kept center gets a window of +- DENSITY_PAD_STDS standard
     deviations; overlapping windows merge, and each grid spaces its points at
     most half a standard deviation apart, so the narrowest component is
-    resolved however far apart the centers lie.
+    resolved however far apart the centers lie.  Each window is its first
+    center x0 and the offsets from it, so the spacing stays above the float
+    resolution of the centers however large they are.
     """
     std = float(np.sqrt(mix.variance))
     pad = DENSITY_PAD_STDS * std
     centers = np.sort(prune_components(mix.centers, mix.weights)[0])
     windows = []
     for group in np.split(centers, np.nonzero(np.diff(centers) > 2.0 * pad)[0] + 1):
-        lo, hi = group[0] - pad, group[-1] + pad
-        windows.append(np.linspace(lo, hi, int(2.0 * (hi - lo) / std) + 2))
+        span = group[-1] - group[0] + 2.0 * pad
+        offsets = np.linspace(-pad, span - pad, int(2.0 * span / std) + 2)
+        windows.append((group[0], offsets))
     return windows
 
 
@@ -316,10 +319,12 @@ def _marginal_legs(routes: _Routes) -> list[CheckResult]:
                 scheme, observable, n, model.sigma, *eps,
             )
             if densities:
-                windows = _density_windows(mix)
-                density = mix.density(np.concatenate(windows))
-                parts = np.split(density, np.cumsum([w.size for w in windows]))
-                integral = sum(np.trapezoid(d, w) for d, w in zip(parts, windows))
+                integral, parts = 0.0, []
+                for x0, offsets in _density_windows(mix):
+                    shifted = replace(mix, centers=mix.centers - x0)
+                    parts.append(shifted.density(offsets))
+                    integral += np.trapezoid(parts[-1], offsets)
+                density = np.concatenate(parts)
                 results.append(
                     _compare(
                         f"density_normalization_{tag}",

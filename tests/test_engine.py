@@ -13,6 +13,7 @@ from ottomon import (
     PerfectThermo,
     build_cycle_superoperator,
 )
+from ottomon.asymptotics import asymptotic_work_heat, invariant_state
 from ottomon.engine import (
     MAX_SHIFT,
     build_model,
@@ -22,8 +23,10 @@ from ottomon.engine import (
     pointer_covariance,
     resolve_stroke_params,
     tilted_cycle_coefficients,
+    tilted_sums,
 )
 from ottomon.lattice import mixture_from_points
+from ottomon.moments import moment_series
 from ottomon.oracle import tabulate_cycle_branches
 from ottomon.qubit import StrokeHamiltonian, landau_zener_params
 from ottomon.superop import conjugation
@@ -148,10 +151,25 @@ CROSS_ROUTE_ENGINES = {
 def test_kernel_matches_grouped_branch_enumeration(engine) -> None:
     # The tilted-map coefficients against the 256 enumerated branches, each
     # weighted by the overlap of its mismatched contacts and grouped by
-    # lattice shift.
+    # lattice shift; and their zero-field sums against the branch sums
+    # weighted by the powers 1, x, q, x^2, q^2 and x q of the branch increments.
     model = build_model(CROSS_ROUTE_ENGINES[engine])
     branches = tabulate_cycle_branches(model)
+    eps_c, eps_h = model.h_cold.epsilon, model.h_hot.epsilon
     for scheme in ("RM", "RC1", "RC2"):
+        expected = np.zeros((6, 4, 4), dtype=complex)
+        for branch in branches:
+            weight = rm_weight(model, branch) if scheme == "RM" else 1.0
+            x, q = branch.da * eps_c + branch.db * eps_h, branch.dq * eps_h
+            powers = np.array([1.0, x, q, x * x, q * q, x * q])
+            expected += weight * powers[:, None, None] * branch.superoperator
+        sums = tilted_sums(model, scheme)
+        assert sums.shape == (6, 4, 4)
+        for k, name in enumerate(("1", "x", "q", "x^2", "q^2", "x q")):
+            assert_allclose(
+                sums[k], expected[k], rtol=0,
+                atol=1e-13 * np.abs(expected[k]).max(), err_msg=f"{scheme} {name}",
+            )
         for observable in ("work", "heat"):
             groups = grouped_branches(model, branches, scheme, observable)
             got = coefficient_groups(model, scheme, observable)
@@ -161,6 +179,24 @@ def test_kernel_matches_grouped_branch_enumeration(engine) -> None:
                 assert_allclose(
                     actual, expected, rtol=0, atol=1e-13,
                     err_msg=f"{scheme} {observable} {key}",
+                )
+
+
+@pytest.mark.parametrize("engine", sorted(CROSS_ROUTE_ENGINES))
+def test_fixed_point_moment_series_grows_by_the_asymptotic_rates(engine) -> None:
+    # Both readers of tilted_sums: started at the fixed point of the scheme's
+    # own cycle map, the N-cycle means are N times the per-cycle rates.  The
+    # folded accumulated-pointer records (RC1 work, RC2) start elsewhere.
+    model = build_model(CROSS_ROUTE_ENGINES[engine])
+    for scheme, observables in (("RM", ("work", "heat")), ("RC1", ("heat",))):
+        rho = invariant_state(tilted_sums(model, scheme)[0])
+        series = moment_series(model, scheme, 3, initial=rho)
+        rates = dict(zip(("work", "heat"), asymptotic_work_heat(model, scheme)))
+        for n, moments in enumerate(series, 1):
+            means = {"work": moments.mean_work, "heat": moments.mean_heat}
+            for observable in observables:
+                assert abs(means[observable] - n * rates[observable]) <= 1e-13, (
+                    scheme, observable, n,
                 )
 
 

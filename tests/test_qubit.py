@@ -1,6 +1,8 @@
 """Two-level building blocks: stroke unitaries, sweep parameters, populations."""
 from __future__ import annotations
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -101,6 +103,14 @@ def test_gibbs_population_values_and_limits() -> None:
     expected = np.exp(-beta * eps) / (np.exp(beta * eps) + np.exp(-beta * eps))
     assert gibbs_population(beta, eps) == pytest.approx(expected, rel=1e-14)
     assert gibbs_population(50.0, 3.0) < 1e-60
+    # Past the overflow of cosh the exact double limits come back, silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gibbs_population(1e4, 1.0) == 0.0
+        assert gibbs_population(-1e4, 1.0) == 1.0
+        assert gibbs_population(1.0, 1e4) == 0.0
+        assert gibbs_population(700.0, 1.0) == 0.0
+        assert gibbs_population(-700.0, 1.0) == 1.0
 
 
 def test_stroke_hamiltonian_energies_and_validation() -> None:

@@ -87,15 +87,32 @@ def test_zero_width_skips_density_checks():
     assert not any(name.startswith("density_positivity") for name in by_name)
 
 
-@pytest.mark.parametrize("sigma", [0.01, 0.001])
-def test_narrow_pointers_pass_the_density_legs(sigma):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sigma": 0.01},
+        {"sigma": 0.001},
+        {"sigma": 1e-12},
+        {"sigma": 1e-12, "cycles": 1},
+        {"eps_h": 1e12},
+        {"eps_h": 1e15},
+    ],
+    ids=[
+        "0.01", "0.001", "sigma1e-12", "sigma1e-12-one-cycle", "eps_h1e12", "eps_h1e15"
+    ],
+)
+def test_narrow_pointers_pass_the_density_legs(overrides):
     # Pointers far narrower than the spacing of the centers: the integration
     # grid has to resolve every component, not span them at a fixed count.
-    report = run_validation(EngineConfig(sigma=sigma, cycles=5))
+    # From sigma = 1e-12 or eps_h = 1e12 on, the grid spacing also nears the
+    # float spacing of the centers, so the windows integrate in offsets from
+    # their first center.
+    config, _ = load_engine_config(None, overrides)
+    report = run_validation(config)
     density = [r for r in report.results if r.name.startswith("density_")]
     assert len(density) == 12
     assert all(r.status == "pass" for r in density), [r.line() for r in density]
-    assert report.passed
+    assert report.passed, [r.line() for r in report.results if r.failed]
 
 
 @pytest.mark.parametrize(
