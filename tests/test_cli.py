@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,27 @@ def test_asymptotic_with_generalized_gibbs_targets(capsys):
     header, rows = parse_csv(out)
     assert [row[header.index("kind")] for row in rows] == ["RM", "RC"]
     assert np.isfinite(column(header, rows, "work_per_cycle")).all()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--init", "generalized_gibbs_cold", "--beta_c", "360", "--cycles", "1"),
+        ("asymptotic", "--thermo", "perfect", "--targets", "generalized_gibbs", "--beta_c", "360"),
+    ],
+    ids=["moments-init", "asymptotic-targets"],
+)
+def test_generalized_gibbs_state_of_a_very_cold_bath(capsys, argv):
+    # At beta_c * eps_c = 360, e^{2 beta eps} overflows a double; the state
+    # must still come out finite, silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert err == ""
+    header, rows = parse_csv(out)
+    name = "mean_work" if argv[0] == "moments" else "work_per_cycle"
+    assert np.isfinite(column(header, rows, name)).all()
 
 
 def test_runtime_errors_exit_with_code_2(capsys, monkeypatch):

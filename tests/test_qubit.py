@@ -76,6 +76,22 @@ def test_landau_zener_params_match_mpmath_oracle(t1: float) -> None:
     assert params.phi == pytest.approx(phi_ref, rel=1e-13)
 
 
+@pytest.mark.parametrize("delta", [1e-12, 1e-3, 1.0, 4.5, 5.0, 20.0, 1e3, 1e6])
+def test_landau_zener_phase_follows_the_continuous_log_gamma_branch(delta: float) -> None:
+    # mpmath.loggamma is the continuous branch; from delta ~ 4.6 on it parts
+    # from the principal arg Gamma by 2*pi, which the oracle above cannot see.
+    t1 = 4.0 * delta * np.sqrt(3.7**2 - 1.0)
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(t1) / (4 * mpmath.sqrt(mpmath.mpf(3.7) ** 2 - 1))
+        reference = float(
+            mpmath.pi / 4
+            - exact * (mpmath.log(exact) - 1)
+            - mpmath.im(mpmath.loggamma(1 - 1j * exact))
+        )
+    phi = landau_zener_params(1.0, 3.7, t1).phi
+    assert abs(phi - reference) <= 1e-13 * max(1.0, abs(reference))
+
+
 def test_landau_zener_frozen_reference_values() -> None:
     params = landau_zener_params(1.0, 3.7, 5.0)
     assert params.alpha == pytest.approx(0.110278248672182, rel=1e-12)
@@ -87,6 +103,11 @@ def test_landau_zener_limits() -> None:
     assert sudden.alpha == pytest.approx(1.0, abs=1e-8)
     adiabatic = landau_zener_params(1.0, 3.7, 60.0)
     assert adiabatic.alpha < 1e-10
+    # The phase tends to pi/4 for a sudden sweep and to pi/2 for a slow one.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert landau_zener_params(1.0, 3.7, 1e-300).phi == pytest.approx(np.pi / 4, abs=1e-14)
+        assert landau_zener_params(1.0, 3.7, 1e300).phi == pytest.approx(np.pi / 2, abs=1e-14)
 
 
 def test_landau_zener_rejects_bad_arguments() -> None:
@@ -94,6 +115,9 @@ def test_landau_zener_rejects_bad_arguments() -> None:
         landau_zener_params(3.7, 1.0, 5.0)
     with pytest.raises(ValueError):
         landau_zener_params(1.0, 3.7, 0.0)
+    # eps_c * t1 underflows, so the sweep exponent would be exactly 0.
+    with pytest.raises(ValueError, match="sweep exponent"):
+        landau_zener_params(1e-150, 2e-150, 1e-300)
 
 
 def test_gibbs_population_values_and_limits() -> None:

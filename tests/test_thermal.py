@@ -1,12 +1,15 @@
 """Thermalization channels and the finite-coupling equilibrium state."""
 from __future__ import annotations
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
 
 from conftest import random_density_matrices
+from ottomon import thermal
 from ottomon.qubit import StrokeHamiltonian, gibbs_population
 from ottomon.superop import TRACE_VEC, conjugation, unvec, vec
 from ottomon.thermal import (
@@ -54,17 +57,13 @@ def test_lindblad_channel_matches_integrated_master_equation(
     bath = BathSpec(beta=beta, gamma=gamma, label="cold")
     channel = LindbladMap(bath, h, theta)
     liou = _liouvillian(gamma, gibbs_population(beta, 1.0))
+    # The Liouvillian is constant, so the master equation integrates to its
+    # exponential, taken here at 30 digits.
+    with mpmath.workdps(30):
+        propagator = mpmath.expm(mpmath.matrix(liou.tolist()) * theta)
+        propagator = np.array(propagator.tolist(), dtype=complex)
     for rho in random_density_matrices(rng, 4):
-        sol = solve_ivp(
-            lambda _, y: liou @ y,
-            (0.0, theta),
-            vec(rho),
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-        )
-        assert sol.success
-        assert_allclose(channel.apply(rho), unvec(sol.y[:, -1]), atol=1e-10)
+        assert_allclose(channel.apply(rho), unvec(propagator @ vec(rho)), atol=1e-10)
 
 
 def test_lindblad_channel_scales_phase_with_half_gap(rng: np.random.Generator) -> None:
@@ -141,6 +140,84 @@ def test_generalized_gibbs_frozen_reference_values() -> None:
     assert hot.d == pytest.approx(0.45388, abs=1e-4)
     assert cold.q == pytest.approx(5.0813e-5, rel=1e-2)
     assert hot.q == pytest.approx(-1.9205e-6, rel=1e-2)
+
+
+# (beta, gamma, omega_d, eps) -> (d, |q|) from 20-digit mpmath quadrature.
+GENERALIZED_GIBBS_REFERENCE = {
+    (0.25, 0.5, 0.2, 1.0): ("0.3775902415219860602763", "0.00005081129435506855511184"),
+    (0.025, 0.5, 0.2, 3.7): ("0.4538833729140818643607", "0.000001920509854530188363441"),
+    (10.0, 1.0, 5.0, 10.0): ("0.01528661036579033694979", "0.274144492395165476686"),
+    (360.0, 0.025, 0.2, 1.0): ("0.000003143418483072976717097", "0.0001179648267857264213932"),
+}
+
+
+@pytest.mark.parametrize(
+    "bath", list(GENERALIZED_GIBBS_REFERENCE), ids=["cold", "hot", "wide-cutoff", "beta-eps-360"]
+)
+def test_generalized_gibbs_matches_high_precision_values(bath) -> None:
+    """d within 1e-13 absolute and q within 1e-12 relative of frozen values.
+
+    The baths are the default cold and hot baths, a hard one (wide cutoff at
+    high beta*eps) and one whose e^{2 beta eps} overflows a double.  The values
+    come from the defining double integrals, folded by C(lam) = C(beta - lam),
+    with ``reference(*bath)`` at ``mp.mp.dps = 20`` (4 s to 7 min a bath)::
+
+        import mpmath as mp
+
+        def reference(beta, gamma, omega_d, eps):
+            beta, gamma, omega_d, eps = (mp.mpf(x) for x in (beta, gamma, omega_d, eps))
+            J = lambda w: gamma * omega_d * w / (2 * (1 + (w / omega_d) ** 2) ** 2)
+
+            @mp.memoize
+            def C(lam):  # imaginary-time bath correlation; C(lam) = C(beta - lam)
+                f = lambda w: J(w) * mp.cosh(w * (beta / 2 - lam)) / mp.sinh(beta * w / 2)
+                cuts = [0] + sorted({1 / beta, omega_d, 1 / lam}) + [mp.inf]
+                return mp.quad(f, cuts) / (2 * mp.pi)
+
+            # Fold [0, beta] onto [0, beta/2]; halve the panels toward the layer at 0.
+            cuts = [beta / 2]
+            while cuts[-1] > min(1 / (2 * eps), 1 / omega_d) / 8:
+                cuts.append(cuts[-1] / 2)
+            cuts = [mp.mpf(0)] + cuts[::-1]
+            pop = lambda l: (beta - l) * mp.sinh(2 * eps * l)
+            coh = lambda l: (
+                mp.exp(2 * beta * eps) * (mp.exp(-2 * eps * l) - 1) + mp.exp(2 * eps * l) - 1
+            )
+            P = mp.quad(lambda u: (pop(u) + pop(beta - u)) * C(u), cuts)
+            Q = mp.quad(lambda u: (coh(u) + coh(beta - u)) * C(u), cuts)
+            d_bare = 1 / (1 + mp.exp(2 * beta * eps))
+            return d_bare * (1 + 4 * P / (1 + mp.exp(-2 * beta * eps))), abs(d_bare * Q / eps)
+    """
+    beta, gamma, omega_d, eps = bath
+    d_ref, q_ref = (float(value) for value in GENERALIZED_GIBBS_REFERENCE[bath])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = generalized_gibbs(BathSpec(beta, gamma, omega_d, "cold"), StrokeHamiltonian(eps))
+    assert state.d == pytest.approx(d_ref, rel=0.0, abs=1e-13)
+    assert state.q == pytest.approx(q_ref, rel=1e-12, abs=0.0)
+
+
+def test_generalized_gibbs_holds_its_bound_against_a_refined_rule(monkeypatch) -> None:
+    # The bound stated in the generalized_gibbs docstring, on 40 baths drawn
+    # log-uniformly from the range it names.
+    rng = np.random.default_rng(27)
+    draws = np.exp(rng.uniform(np.log([1e-4, 1e-4, 1e-3]), np.log([1e4, 1e3, 1e4]), (40, 3)))
+    baths = [
+        (BathSpec(beta, 1e-6, omega_d), StrokeHamiltonian(eps)) for beta, omega_d, eps in draws
+    ]
+    states = [generalized_gibbs(*bath) for bath in baths]
+    with monkeypatch.context() as patch:
+        patch.setattr(thermal, "PANEL_NODES", 64)
+        patch.setattr(thermal, "INNER_PANEL_FRACTION", thermal.INNER_PANEL_FRACTION / 16.0)
+        patch.setattr(thermal, "LOG_OMEGA_STEP", 0.07)
+        patch.setattr(thermal, "LOG_OMEGA_WINDOW", (-50.0, 30.0))
+        thermal._quadrature_rules.cache_clear()
+        refined = [generalized_gibbs(*bath) for bath in baths]
+    thermal._quadrature_rules.cache_clear()
+    for (bath, h), state, fine in zip(baths, states, refined):
+        correction = abs(fine.d - gibbs_population(bath.beta, h.epsilon))
+        assert abs(state.d - fine.d) <= 1e-12 * correction + 2e-16, (bath, h)
+        assert state.q == pytest.approx(fine.q, rel=1e-12, abs=0.0), (bath, h)
 
 
 def test_generalized_gibbs_zero_coupling_is_bare_gibbs() -> None:
