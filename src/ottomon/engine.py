@@ -27,14 +27,13 @@ from .qubit import (
     gibbs_population,
     landau_zener_params,
 )
-from .superop import conjugation
+from .superop import conjugation, sector_coupling
 from .thermal import (
     DECOUPLING_TOL,
     BathSpec,
     LindbladMap,
     PerfectMap,
     ThermalState,
-    decoupling_violation,
     generalized_gibbs,
 )
 
@@ -187,8 +186,8 @@ def perfect_targets(
 
 def build_model(config: EngineConfig) -> EngineModel:
     """Resolve stroke parameters, unitaries and thermal channels."""
-    h_cold = StrokeHamiltonian(config.eps_c, "cold")
-    h_hot = StrokeHamiltonian(config.eps_h, "hot")
+    h_cold = StrokeHamiltonian(config.eps_c)
+    h_hot = StrokeHamiltonian(config.eps_h)
     params = resolve_stroke_params(config)
     if isinstance(config.thermo, PerfectThermo):
         target_cold, target_hot = perfect_targets(config.thermo, h_cold, h_hot)
@@ -228,7 +227,7 @@ def require_sector_separation(model: EngineModel, scheme: str) -> None:
     if scheme == "RM":
         return
     for channel in (model.cold_channel, model.hot_channel):
-        violation = decoupling_violation(channel)
+        violation = sector_coupling(channel.superoperator())
         if violation > DECOUPLING_TOL:
             raise ValueError(
                 "thermal channel mixes population and coherence sectors "

@@ -42,21 +42,10 @@ class StrokeHamiltonian:
     """Half-gap ``epsilon`` Hamiltonian diag(-epsilon, +epsilon)."""
 
     epsilon: float
-    label: str = "cold"
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.label not in ("cold", "hot"):
-            raise ValueError("label must be 'cold' or 'hot'")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag([-self.epsilon, self.epsilon]).astype(complex)
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([-self.epsilon, self.epsilon])
 
 
 @dataclass(frozen=True)
@@ -104,18 +93,9 @@ def build_reverse_unitary(params: WorkStrokeParams) -> np.ndarray:
 
     Equals the entrywise complex conjugate of the adjoint of the forward
     unitary (conjugation by the antiunitary time-reversal operation, taken
-    as plain complex conjugation).
+    as plain complex conjugation), which is its transpose.
     """
-    root_stay = np.sqrt(1.0 - params.alpha)
-    root_flip = np.sqrt(params.alpha)
-    phase = np.exp(1j * params.phi)
-    return np.array(
-        [
-            [root_stay * phase, -root_flip],
-            [root_flip, root_stay * np.conj(phase)],
-        ],
-        dtype=complex,
-    )
+    return build_forward_unitary(params).T
 
 
 def landau_zener_params(eps_c: float, eps_h: float, t1: float) -> WorkStrokeParams:

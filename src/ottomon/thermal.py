@@ -1,9 +1,13 @@
 """Thermalization strokes and the finite-coupling equilibrium state.
 
-Two channel families are provided: ``PerfectMap`` projects any input onto a
-fixed target state, and ``LindbladMap`` is the exact finite-time solution of
-the damped two-level master equation in the energy basis.  Both are linear,
-so they can be applied to non-Hermitian branch operators as well as states.
+A thermal stroke is a linear map on 2x2 operators, and every route reads it
+as its 4x4 matrix on vec(X) (see ``superop``): the cycle map, the lattice,
+the enumeration and the moment recursion.  So each channel is that matrix,
+built once in closed form and returned read-only by ``superoperator()``.
+``PerfectMap`` replaces any unit-trace input by a fixed target state, and
+``LindbladMap`` is the exact finite-time solution of the damped two-level
+master equation in the energy basis.  The matrices act on branch operators,
+which need be neither Hermitian nor of unit trace, as well as on states.
 
 ``generalized_gibbs`` computes the second-order finite-coupling correction to
 the bare Gibbs state for an Ohmic bath with a squared-Drude cutoff, coupled
@@ -22,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .qubit import StrokeHamiltonian, gibbs_population, validate_density_matrix
-from .superop import TRACE_VEC, sector_coupling, unvec, vec
+from .superop import POPULATION_IDX, TRACE_VEC, vec
 
 DECOUPLING_TOL = 1e-12
 # Quadrature of the generalized-Gibbs state (see ``generalized_gibbs``).
@@ -72,34 +76,42 @@ class ThermalState:
 
 
 class PerfectMap:
-    """Thermalization that replaces any unit-trace input by the target state."""
+    """Thermalization that replaces any unit-trace input by the target state.
+
+    Its matrix is vec(target) Tr[.], so it annihilates traceless inputs.
+    """
 
     def __init__(self, target: ThermalState):
         self.target = target
-        self._target_matrix = target.matrix
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        validate_density_matrix(rho)
-        return self._target_matrix.copy()
-
-    def apply_unnormalized(self, op: np.ndarray) -> np.ndarray:
-        """Linear extension target * Tr[op]; annihilates traceless inputs."""
-        return self._target_matrix * np.trace(np.asarray(op, dtype=complex))
+        self._superoperator = np.outer(vec(target.matrix), TRACE_VEC)
+        self._superoperator.flags.writeable = False
 
     def superoperator(self) -> np.ndarray:
-        return np.outer(vec(self._target_matrix), TRACE_VEC)
+        """The read-only 4x4 matrix of the channel on vec(X)."""
+        return self._superoperator
 
 
 class LindbladMap:
     """Exact finite-time solution of the damped qubit master equation.
 
     In the energy basis of ``h`` the populations relax toward the Gibbs
-    values at the bath temperature with rate factor exp(-2*gamma*theta) and
-    the coherences decay as exp(-gamma*theta) while rotating with the phase
-    factor exp(-2i*theta) on the excited-ground element, where
-    theta = epsilon * stroke duration.  The excitation and decay rates are
-    fixed so that their sum is gamma*epsilon and the stationary state is the
-    Gibbs state, which resolves the dissipator index convention.
+    population p at the bath temperature with rate factor
+    D = exp(-2*gamma*theta), and the coherences decay as exp(-gamma*theta)
+    while rotating with the phase factor exp(-2i*theta) on the excited-ground
+    element, where theta = epsilon * stroke duration.  The excitation and
+    decay rates are fixed so that their sum is gamma*epsilon and the
+    stationary state is the Gibbs state, which resolves the dissipator index
+    convention.
+
+    On vec(X) = [X00, X10, X01, X11] the channel is the 4x4 matrix, built once:
+
+        [[1 - e_g, 0, 0,       1 - e_e],
+         [0,       c, 0,       0      ],
+         [0,       0, conj(c), 0      ],
+         [e_g,     0, 0,       e_e    ]],
+
+    with e_g = p + (0 - p) D and e_e = p + (1 - p) D the excited population
+    out of a unit ground and excited input, and c = exp(-(gamma + 2i) theta).
     """
 
     def __init__(self, bath: BathSpec, h: StrokeHamiltonian, theta: float):
@@ -108,41 +120,22 @@ class LindbladMap:
         self.bath = bath
         self.h = h
         self.theta = theta
-        self.equilibrium_population = gibbs_population(bath.beta, h.epsilon)
-        self._population_decay = np.exp(-2.0 * bath.gamma * theta)
-        self._coherence_factor = np.exp(-(bath.gamma + 2.0j) * theta)
-
-    def apply_unnormalized(self, op: np.ndarray) -> np.ndarray:
-        op = np.asarray(op, dtype=complex)
-        total = op[0, 0] + op[1, 1]
-        excited = self.equilibrium_population * total + (
-            op[1, 1] - self.equilibrium_population * total
-        ) * self._population_decay
-        out = np.empty((2, 2), dtype=complex)
-        out[0, 0] = total - excited
-        out[1, 1] = excited
-        out[1, 0] = op[1, 0] * self._coherence_factor
-        out[0, 1] = op[0, 1] * np.conj(self._coherence_factor)
-        return out
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        validate_density_matrix(rho)
-        return self.apply_unnormalized(rho)
+        p = gibbs_population(bath.beta, h.epsilon)
+        decay = np.exp(-2.0 * bath.gamma * theta)
+        coherence = np.exp(-(bath.gamma + 2.0j) * theta)
+        # Scaled unit rows: each zero of a coherence row keeps the sign of
+        # the product 0 * c, as in the image of a basis operator.
+        sop = np.eye(4, dtype=complex)
+        sop[1] *= coherence
+        sop[2] *= np.conj(coherence)
+        sop[3, POPULATION_IDX] = p + (0.0 - p) * decay, p + (1.0 - p) * decay
+        sop[0, POPULATION_IDX] = 1.0 - sop[3, POPULATION_IDX]
+        sop.flags.writeable = False
+        self._superoperator = sop
 
     def superoperator(self) -> np.ndarray:
-        basis = np.eye(4, dtype=complex)
-        columns = [vec(self.apply_unnormalized(unvec(b))) for b in basis]
-        return np.column_stack(columns)
-
-
-def decoupling_violation(channel) -> float:
-    """Largest population/coherence mixing element of a channel.
-
-    Zero (within numerical noise) exactly when the channel never converts
-    populations into coherences, coherences into populations, or one
-    coherence into its transpose partner.
-    """
-    return sector_coupling(channel.superoperator())
+        """The read-only 4x4 matrix of the channel on vec(X)."""
+        return self._superoperator
 
 
 def _spectral_density(omega: np.ndarray, gamma: float, omega_d: float) -> np.ndarray:

@@ -47,7 +47,7 @@ from ottomon.moments import (
 )
 from ottomon.oracle import enumerate_branches, point_weights
 from ottomon.qubit import StrokeHamiltonian
-from ottomon.superop import conjugation
+from ottomon.superop import conjugation, unvec, vec
 from ottomon.thermal import BathSpec, generalized_gibbs
 from ottomon.validation import compare_weight_tables
 
@@ -80,11 +80,11 @@ def test_criterion_01_finite_coupling_equilibrium_state():
     start = time.perf_counter()
     cold = generalized_gibbs(
         BathSpec(beta=0.25, gamma=0.5, omega_d=0.2, label="cold"),
-        StrokeHamiltonian(1.0, "cold"),
+        StrokeHamiltonian(1.0),
     )
     hot = generalized_gibbs(
         BathSpec(beta=0.025, gamma=0.5, omega_d=0.2, label="hot"),
-        StrokeHamiltonian(3.7, "hot"),
+        StrokeHamiltonian(3.7),
     )
     assert cold.d == pytest.approx(0.37759, abs=1e-4)
     assert hot.d == pytest.approx(0.45388, abs=1e-4)
@@ -356,7 +356,7 @@ def test_criterion_10_distribution_and_channel_properties(
     channels = [m.cold_channel for m in models] + [m.hot_channel for m in models]
     for channel in channels:
         for rho in states:
-            out = channel.apply(rho)
+            out = unvec(channel.superoperator() @ vec(rho))
             assert abs(np.trace(out).real - 1.0) <= 1e-12
             assert abs(np.trace(out).imag) <= 1e-12
             eigs = np.linalg.eigvalsh(0.5 * (out + out.conj().T))

@@ -229,8 +229,8 @@ def test_resolve_stroke_params_direct_and_sweep() -> None:
 
 
 def test_perfect_targets_routing() -> None:
-    h_cold = StrokeHamiltonian(1.0, "cold")
-    h_hot = StrokeHamiltonian(3.7, "hot")
+    h_cold = StrokeHamiltonian(1.0)
+    h_hot = StrokeHamiltonian(3.7)
     gibbs_cold, gibbs_hot = perfect_targets(
         PerfectThermo(beta_c=0.25, beta_h=0.025), h_cold, h_hot
     )

@@ -138,13 +138,9 @@ def test_gibbs_population_values_and_limits() -> None:
 
 
 def test_stroke_hamiltonian_energies_and_validation() -> None:
-    h = StrokeHamiltonian(2.5, "hot")
-    assert_allclose(h.energies, [-2.5, 2.5])
-    assert_allclose(h.matrix, np.diag([-2.5, 2.5]))
+    assert StrokeHamiltonian(2.5).epsilon == 2.5
     with pytest.raises(ValueError):
-        StrokeHamiltonian(-1.0, "cold")
-    with pytest.raises(ValueError):
-        StrokeHamiltonian(1.0, "lukewarm")
+        StrokeHamiltonian(-1.0)
 
 
 def test_projector_levels() -> None:

@@ -11,15 +11,19 @@ from numpy.testing import assert_allclose
 from conftest import random_density_matrices
 from ottomon import thermal
 from ottomon.qubit import StrokeHamiltonian, gibbs_population
-from ottomon.superop import TRACE_VEC, conjugation, unvec, vec
+from ottomon.superop import COHERENCE_IDX, POPULATION_IDX, TRACE_VEC, conjugation, sector_coupling, unvec, vec
 from ottomon.thermal import (
     BathSpec,
     LindbladMap,
     PerfectMap,
     ThermalState,
-    decoupling_violation,
     generalized_gibbs,
 )
+
+def _apply(channel, op: np.ndarray) -> np.ndarray:
+    """The channel's matrix applied to a 2x2 operator."""
+    return unvec(channel.superoperator() @ vec(op))
+
 
 COLD_BATH = BathSpec(beta=0.25, gamma=0.5, omega_d=0.2, label="cold")
 HOT_BATH = BathSpec(beta=0.025, gamma=0.5, omega_d=0.2, label="hot")
@@ -51,9 +55,9 @@ def _liouvillian(gamma: float, equilibrium: float) -> np.ndarray:
 @pytest.mark.parametrize("theta", [0.0, 0.6, 3.0])
 @pytest.mark.parametrize("beta,gamma", [(0.25, 0.025), (0.8, 0.3)])
 def test_lindblad_channel_matches_integrated_master_equation(
-    theta: float, beta: float, gamma: float, rng: np.random.Generator
+    theta: float, beta: float, gamma: float
 ) -> None:
-    h = StrokeHamiltonian(1.0, "cold")
+    h = StrokeHamiltonian(1.0)
     bath = BathSpec(beta=beta, gamma=gamma, label="cold")
     channel = LindbladMap(bath, h, theta)
     liou = _liouvillian(gamma, gibbs_population(beta, 1.0))
@@ -62,8 +66,7 @@ def test_lindblad_channel_matches_integrated_master_equation(
     with mpmath.workdps(30):
         propagator = mpmath.expm(mpmath.matrix(liou.tolist()) * theta)
         propagator = np.array(propagator.tolist(), dtype=complex)
-    for rho in random_density_matrices(rng, 4):
-        assert_allclose(channel.apply(rho), unvec(propagator @ vec(rho)), atol=1e-10)
+    assert_allclose(channel.superoperator(), propagator, atol=1e-10)
 
 
 def test_lindblad_channel_scales_phase_with_half_gap(rng: np.random.Generator) -> None:
@@ -72,22 +75,22 @@ def test_lindblad_channel_scales_phase_with_half_gap(rng: np.random.Generator) -
     rho = random_density_matrices(rng, 1)[0]
     a = LindbladMap(BathSpec(beta=0.5, gamma=0.1, label="cold"), StrokeHamiltonian(1.0), 2.0)
     b = LindbladMap(BathSpec(beta=0.5 / 3.7, gamma=0.1, label="cold"), StrokeHamiltonian(3.7), 2.0)
-    assert_allclose(a.apply(rho), b.apply(rho), atol=1e-14)
+    assert_allclose(_apply(a, rho), _apply(b, rho), atol=1e-14)
 
 
 def test_lindblad_limits_identity_and_gibbs(rng: np.random.Generator) -> None:
-    h = StrokeHamiltonian(1.0, "cold")
+    h = StrokeHamiltonian(1.0)
     bath = BathSpec(beta=0.25, gamma=0.025, label="cold")
     rho = random_density_matrices(rng, 1)[0]
     frozen = LindbladMap(BathSpec(beta=0.25, gamma=0.0, label="cold"), h, 0.0)
-    assert_allclose(frozen.apply(rho), rho, atol=0.0)
-    relaxed = LindbladMap(bath, h, 1e5).apply(rho)
+    assert_allclose(_apply(frozen, rho), rho, atol=0.0)
+    relaxed = _apply(LindbladMap(bath, h, 1e5), rho)
     gibbs = ThermalState(d=gibbs_population(0.25, 1.0)).matrix
     assert_allclose(relaxed, gibbs, atol=1e-12)
 
 
 def test_channels_preserve_trace_and_positivity(rng: np.random.Generator) -> None:
-    h = StrokeHamiltonian(1.0, "cold")
+    h = StrokeHamiltonian(1.0)
     channels = [
         LindbladMap(BathSpec(beta=0.25, gamma=0.025, label="cold"), h, 8.0),
         PerfectMap(ThermalState(d=0.3, q=0.01 + 0.02j)),
@@ -96,46 +99,62 @@ def test_channels_preserve_trace_and_positivity(rng: np.random.Generator) -> Non
         sop = channel.superoperator()
         assert_allclose(TRACE_VEC @ sop, TRACE_VEC, atol=1e-14)
         for rho in random_density_matrices(rng, 30):
-            out = channel.apply(rho)
+            out = _apply(channel, rho)
             assert abs(np.trace(out) - 1.0) < 1e-13
             assert np.linalg.eigvalsh(out).min() > -1e-13
 
 
-def test_perfect_map_is_rank_one_projection(rng: np.random.Generator) -> None:
+def test_perfect_map_is_rank_one_projection() -> None:
     target = ThermalState(d=0.3775, q=5.08e-5)
     channel = PerfectMap(target)
-    for rho in random_density_matrices(rng, 5):
-        assert_allclose(channel.apply(rho), target.matrix, atol=0.0)
-    singulars = np.linalg.svd(channel.superoperator(), compute_uv=False)
+    sop = channel.superoperator()
+    # Every unit-trace input goes to the target: each population column is
+    # vec(target) and the coherence columns vanish.
+    for j in POPULATION_IDX:
+        assert_allclose(unvec(sop[:, j]), target.matrix, atol=0.0)
+    assert_allclose(sop[:, COHERENCE_IDX], 0.0, atol=0.0)
+    singulars = np.linalg.svd(sop, compute_uv=False)
     assert singulars[1] < 1e-15
     traceless = np.array([[0.5, 0.2], [0.1, -0.5]], dtype=complex)
-    assert_allclose(channel.apply_unnormalized(traceless), 0.0, atol=0.0)
+    assert_allclose(_apply(channel, traceless), 0.0, atol=0.0)
 
 
-def test_decoupling_violation_flags_only_sector_mixing_channels() -> None:
-    h = StrokeHamiltonian(1.0, "cold")
+@pytest.mark.parametrize(
+    "channel",
+    [
+        LindbladMap(BathSpec(beta=0.25, gamma=0.025), StrokeHamiltonian(1.0), 8.0),
+        PerfectMap(ThermalState(d=0.3, q=0.01 + 0.02j)),
+    ],
+    ids=["lindblad", "perfect"],
+)
+def test_channel_matrix_is_built_once_and_read_only(channel) -> None:
+    sop = channel.superoperator()
+    assert channel.superoperator() is sop
+    assert sop.shape == (4, 4) and sop.dtype == complex
+    assert not sop.flags.writeable
+    with pytest.raises(ValueError):
+        sop[0, 0] = 0.0
+
+
+def test_sector_coupling_flags_only_sector_mixing_channels() -> None:
+    h = StrokeHamiltonian(1.0)
     lind = LindbladMap(BathSpec(beta=0.25, gamma=0.025, label="cold"), h, 8.0)
-    assert decoupling_violation(lind) < 1e-15
-    assert decoupling_violation(PerfectMap(ThermalState(d=0.4))) < 1e-15
+    assert sector_coupling(lind.superoperator()) < 1e-15
+    assert sector_coupling(PerfectMap(ThermalState(d=0.4)).superoperator()) < 1e-15
     # A projection onto a coherent target turns populations into coherences,
     # so it must be flagged even though it is a perfectly valid channel.
-    assert decoupling_violation(PerfectMap(ThermalState(d=0.4, q=0.05))) == pytest.approx(0.05)
-
-    class Rotation:
-        def superoperator(self) -> np.ndarray:
-            angle = 0.4
-            rot = np.array(
-                [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]],
-                dtype=complex,
-            )
-            return conjugation(rot)
-
-    assert decoupling_violation(Rotation()) > 0.1
+    coherent = PerfectMap(ThermalState(d=0.4, q=0.05))
+    assert sector_coupling(coherent.superoperator()) == pytest.approx(0.05)
+    angle = 0.4
+    rotation = np.array(
+        [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]], dtype=complex
+    )
+    assert sector_coupling(conjugation(rotation)) > 0.1
 
 
 def test_generalized_gibbs_frozen_reference_values() -> None:
-    cold = generalized_gibbs(COLD_BATH, StrokeHamiltonian(1.0, "cold"))
-    hot = generalized_gibbs(HOT_BATH, StrokeHamiltonian(3.7, "hot"))
+    cold = generalized_gibbs(COLD_BATH, StrokeHamiltonian(1.0))
+    hot = generalized_gibbs(HOT_BATH, StrokeHamiltonian(3.7))
     assert cold.d == pytest.approx(0.37759, abs=1e-4)
     assert hot.d == pytest.approx(0.45388, abs=1e-4)
     assert cold.q == pytest.approx(5.0813e-5, rel=1e-2)
@@ -221,14 +240,14 @@ def test_generalized_gibbs_holds_its_bound_against_a_refined_rule(monkeypatch) -
 
 
 def test_generalized_gibbs_zero_coupling_is_bare_gibbs() -> None:
-    h = StrokeHamiltonian(1.0, "cold")
+    h = StrokeHamiltonian(1.0)
     state = generalized_gibbs(BathSpec(beta=0.25, gamma=0.0, label="cold"), h)
     assert state.d == pytest.approx(gibbs_population(0.25, 1.0), abs=0.0)
     assert state.q == 0.0
 
 
 def test_generalized_gibbs_corrections_are_linear_in_coupling() -> None:
-    h = StrokeHamiltonian(1.0, "cold")
+    h = StrokeHamiltonian(1.0)
     bare = gibbs_population(0.25, 1.0)
     shifts = []
     coherences = []
@@ -241,7 +260,7 @@ def test_generalized_gibbs_corrections_are_linear_in_coupling() -> None:
 
 
 def test_generalized_gibbs_orientation_follows_bath_label() -> None:
-    h = StrokeHamiltonian(1.0, "cold")
+    h = StrokeHamiltonian(1.0)
     cold = generalized_gibbs(BathSpec(beta=0.25, gamma=0.5, label="cold"), h)
     hot = generalized_gibbs(BathSpec(beta=0.25, gamma=0.5, label="hot"), h)
     assert cold.q > 0.0 > hot.q
