@@ -39,7 +39,7 @@ from .engine import (
     LindbladThermo,
     build_model,
 )
-from .lattice import marginal_via_lattice, mixture_from_points
+from .lattice import DENSITY_POINT_BUDGET, marginal_via_lattice, mixture_from_points
 from .mixtures import prune_components
 from .moments import (
     MomentSet,
@@ -61,6 +61,8 @@ CLOSED_FORM_START_TOL = 1e-12
 # The joint command enumerates branch pairs, one cycle short of the oracle's
 # own limit.
 JOINT_CYCLE_LIMIT = ORACLE_CYCLE_LIMIT - 1
+# Largest sweep grid: at about 1.5 ms a point, 200 x 200 points take a minute.
+SWEEP_POINT_BUDGET = 200 * 200
 
 
 def _fmt(value) -> str:
@@ -168,9 +170,11 @@ def _marginal_components(mix) -> list[dict]:
 
 
 def _check_grid(points: int, lo: float | None, hi: float | None) -> None:
-    """Refuse a grid of under 2 points or with given bounds out of order."""
+    """Refuse a grid of under 2 points or over budget, or with bounds out of order."""
     if points < 2:
         raise ConfigError("density grid needs at least 2 points")
+    if points > DENSITY_POINT_BUDGET:
+        raise ConfigError(f"--points {points:,} is over the budget of {DENSITY_POINT_BUDGET:,}")
     if lo is not None and hi is not None and not hi > lo:
         raise ConfigError("grid upper bound must exceed the lower bound")
 
@@ -338,6 +342,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.t1_steps < 1 or self.t2_steps < 1:
             raise ConfigError("sweep step counts must be at least 1")
+        if self.t1_steps * self.t2_steps > SWEEP_POINT_BUDGET:
+            raise ConfigError(
+                f"--t1-steps times --t2-steps is {self.t1_steps * self.t2_steps:,} grid "
+                f"points, over the sweep budget of {SWEEP_POINT_BUDGET:,}"
+            )
         if not (0 < self.t1_min <= self.t1_max):
             raise ConfigError("need 0 < t1_min <= t1_max")
         if not (0 < self.t2_min <= self.t2_max):

@@ -64,6 +64,9 @@ def _points_advanced(cycles: int, observable: str) -> int:
 # Largest lattice run admitted, counted in advanced points: that of a
 # 457-cycle work lattice, which bounds the run time of heat lattices too.
 LATTICE_POINT_BUDGET = _points_advanced(457, "work")
+# Largest `pdf` density grid: about 350 bytes a point at the peak (the grid,
+# the density columns, the rows and the CSV text), so 2^20 points need 350 MB.
+DENSITY_POINT_BUDGET = 2**20
 
 
 def check_lattice_budget(cycles: int, observable: str) -> None:

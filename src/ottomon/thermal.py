@@ -241,7 +241,6 @@ def generalized_gibbs(bath: BathSpec, h: StrokeHamiltonian) -> ThermalState:
     width = right - np.append(right[1:], 0.0)
     u = ((right - width)[:, None] + width[:, None] * nodes).ravel()
     panel_weights = (width[:, None] * weights).ravel()
-    weighted_correlation = panel_weights * bath_correlation_imaginary_time(u, bath)
 
     v = beta - u
     scale = 1.0 / (1.0 + np.exp(-2.0 * beta * eps))
@@ -249,7 +248,17 @@ def generalized_gibbs(bath: BathSpec, h: StrokeHamiltonian) -> ThermalState:
     rise_u, rise_v = -np.expm1(-2.0 * eps * u), -np.expm1(-2.0 * eps * v)
     # 1 - e^{-4 eps x} = (1 - e^{-2 eps x}) (1 + e^{-2 eps x})
     population = v * decay_v * rise_u * (1.0 + decay_u) + u * decay_u * rise_v * (1.0 + decay_v)
-    d = d_bare + 2.0 * scale * scale * (weighted_correlation @ population)
-    coherence_magnitude = 2.0 * scale * (weighted_correlation @ (rise_u * rise_v)) / eps
+    # C scales as gamma * omega_d^3: a bath that overflows it is refused, not
+    # evaluated to inf or nan with a trail of numpy warnings.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            weighted_correlation = panel_weights * bath_correlation_imaginary_time(u, bath)
+            d = d_bare + 2.0 * scale * scale * (weighted_correlation @ population)
+            coherence_magnitude = 2.0 * scale * (weighted_correlation @ (rise_u * rise_v)) / eps
+    except FloatingPointError:
+        raise ValueError(
+            f"omega_d = {bath.omega_d:g} overflows the generalized-Gibbs quadrature at "
+            f"gamma = {bath.gamma:g}; the correction grows with gamma * omega_d"
+        ) from None
     orientation = 1.0 if bath.label == "cold" else -1.0
     return ThermalState(d=float(d), q=orientation * float(coherence_magnitude))

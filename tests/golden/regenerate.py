@@ -9,8 +9,7 @@ Regenerate every record (from the repository root)::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-or only some cases by name: ``... regenerate.py pdf_work lz_default``.  A
-golden value records what the program printed, not that it is right, so a
+A golden value records what the program printed, not that it is right, so a
 regeneration changes check data and each changed case needs its reason.
 """
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import io
 import shlex
-import sys
 import warnings
 from pathlib import Path
 
@@ -60,20 +58,13 @@ def record_path(name: str) -> Path:
     return HERE / f"{name}.out"
 
 
-def main(names: list[str]) -> int:
+def main() -> None:
     cases = load_cases()
-    unknown = sorted(set(names) - set(cases))
-    if unknown:
-        print(f"unknown cases: {' '.join(unknown)}", file=sys.stderr)
-        return 2
-    for name in names or cases:
-        record_path(name).write_text(render(cases[name]), encoding="utf-8")
-    if not names:
-        stale = {p.stem for p in HERE.glob("*.out")} - set(cases)
-        for name in sorted(stale):
-            record_path(name).unlink()
-    return 0
+    for path in HERE.glob("*.out"):
+        path.unlink()
+    for name, argv in cases.items():
+        record_path(name).write_text(render(argv), encoding="utf-8")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

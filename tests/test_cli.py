@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from ottomon.asymptotics import (
     spectrum,
     thermal_duration_from_theta,
 )
-from ottomon.cli import main
+from ottomon.cli import SWEEP_POINT_BUDGET, main
 from ottomon.config import KEY_SPECS
 from ottomon.engine import (
     JOINT_SCHEMES,
@@ -27,7 +28,7 @@ from ottomon.engine import (
     EngineConfig,
     LandauZenerStroke,
 )
-from ottomon.lattice import joint_via_lattice
+from ottomon.lattice import DENSITY_POINT_BUDGET, joint_via_lattice
 from ottomon.mixtures import GaussianMixture1D
 from ottomon.moments import moment_series, power_output, work_per_cycle_series
 from ottomon.qubit import landau_zener_params
@@ -179,6 +180,29 @@ def test_pdf_heat_refuses_a_lattice_over_the_point_budget(capsys):
     assert code == 2
     assert out == ""
     assert "points" in err and "ottomon moments" in err
+
+
+def _refuse_building_models(monkeypatch) -> None:
+    def refused(config):
+        raise AssertionError("a model was built before the request was checked")
+
+    monkeypatch.setattr("ottomon.cli.build_model", refused)
+
+
+def test_pdf_refuses_points_over_the_budget_before_any_allocation(capsys, monkeypatch):
+    _refuse_building_models(monkeypatch)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "pdf", "--points", str(DENSITY_POINT_BUDGET + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --points 1,048,577 is over the budget of 1,048,576")
 
 
 @pytest.mark.parametrize("observable, evaluations", [("work", 2), ("heat", 3)])
@@ -407,6 +431,51 @@ def test_sweep_validates_its_inputs(capsys):
         capsys, "sweep", "--stroke", "landau_zener", "--at", "fish"
     )
     assert code == 2
+
+
+def test_sweep_refuses_a_grid_over_the_budget_before_any_model(capsys, monkeypatch):
+    _refuse_building_models(monkeypatch)
+    steps = SWEEP_POINT_BUDGET // 10
+    code, out, err = run_cli(
+        capsys, "sweep", "--stroke", "landau_zener",
+        "--t1-steps", str(steps + 1), "--t2-steps", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--t1-steps" in err and "--t2-steps" in err
+    assert f"{(steps + 1) * 10:,} grid points" in err
+
+
+def test_sweep_under_the_budget_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--stroke", "landau_zener", "--t1-steps", "3", "--t2-steps", "2",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 3 * 2 + 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--init", "generalized_gibbs_cold", "--omega_d", "1e300"],
+        ["asymptotic", "--thermo", "perfect", "--targets", "generalized_gibbs",
+         "--omega_d", "1e300"],
+        ["asymptotic", "--thermo", "perfect", "--targets", "generalized_gibbs",
+         "--omega_d", "1e140"],
+    ],
+    ids=["moments-1e300", "asymptotic-1e300", "asymptotic-1e140"],
+)
+def test_an_overflowing_bath_cutoff_is_refused_without_warnings(capsys, argv):
+    # The quadrature's scale gamma * omega_d^3 overflows: the one stderr line
+    # is the refusal, which names omega_d.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: omega_d = ")
+    assert err.count("\n") == 1
 
 
 def test_asymptotic_rows_match_library_values(capsys):

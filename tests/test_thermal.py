@@ -11,7 +11,15 @@ from numpy.testing import assert_allclose
 from conftest import random_density_matrices
 from ottomon import thermal
 from ottomon.qubit import StrokeHamiltonian, gibbs_population
-from ottomon.superop import COHERENCE_IDX, POPULATION_IDX, TRACE_VEC, conjugation, sector_coupling, unvec, vec
+from ottomon.superop import (
+    COHERENCE_IDX,
+    POPULATION_IDX,
+    TRACE_VEC,
+    conjugation,
+    sector_coupling,
+    unvec,
+    vec,
+)
 from ottomon.thermal import (
     BathSpec,
     LindbladMap,
@@ -19,6 +27,7 @@ from ottomon.thermal import (
     ThermalState,
     generalized_gibbs,
 )
+
 
 def _apply(channel, op: np.ndarray) -> np.ndarray:
     """The channel's matrix applied to a 2x2 operator."""
