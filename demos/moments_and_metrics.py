@@ -20,13 +20,10 @@ def main() -> None:
     model = build_model(config)
     analytic, rho_diag = closed_form_moments(model, initial_state(model))
     table = enumerate_branches(model, 1, initial=rho_diag)
-    eps = (config.eps_c, config.eps_h)
     numeric = {}
     for kind, scheme in (("RM", "RM"), ("RC", "RC2")):
         points, weights = point_weights(table, scheme, "joint")
-        mix = mixture_from_points(
-            points, weights, scheme, "joint", 1, config.sigma, *eps
-        )
+        mix = mixture_from_points(points, weights, scheme, "joint", 1, config)
         numeric[kind] = MomentSet(*mix.moments())
 
     print("Single cycle from the diagonal part of the invariant state\n")

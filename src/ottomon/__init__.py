@@ -24,7 +24,6 @@ from .config import (
     default_values,
     load_engine_config,
     parse_config_text,
-    serialize_values,
     to_engine_config,
 )
 from .engine import (
@@ -52,7 +51,6 @@ from .moments import (
 )
 from .oracle import BranchTable, enumerate_branches, point_weights
 from .qubit import (
-    StrokeHamiltonian,
     WorkStrokeParams,
     build_forward_unitary,
     build_reverse_unitary,
@@ -91,7 +89,6 @@ __all__ = [
     "READOUTS",
     "SCHEMES",
     "SpectrumReport",
-    "StrokeHamiltonian",
     "ThermalState",
     "ValidationReport",
     "WorkStrokeParams",
@@ -122,7 +119,6 @@ __all__ = [
     "power_output",
     "reliability",
     "run_validation",
-    "serialize_values",
     "spectrum",
     "theta_from_thermal_duration",
     "thermal_duration_from_theta",

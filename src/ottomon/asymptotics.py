@@ -120,7 +120,7 @@ def initial_state(
         d = gibbs_population(thermo.beta_c, config.eps_c)
         return np.array([[1.0 - d, 0.0], [0.0, d]], dtype=complex)
     bath = BathSpec(thermo.beta_c, thermo.gamma, thermo.omega_d, "cold")
-    return generalized_gibbs(bath, model.h_cold).matrix
+    return generalized_gibbs(bath, config.eps_c).matrix
 
 
 def prepare_initial_state(
@@ -139,7 +139,7 @@ def prepare_initial_state(
     rho = initial_state(model, initial=initial)
     if scheme == "RM" or (scheme == "RC1" and observable == "heat"):
         return rho
-    overlap = contact_suppression(model.h_cold.epsilon, model.sigma)
+    overlap = contact_suppression(model.config.eps_c, model.config.sigma)
     return rho * np.array([[1.0, overlap], [overlap, 1.0]])
 
 

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def _jsonify(value):
     return value
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -235,8 +236,7 @@ def cmd_pdf(args) -> int:
     if args.observable == "heat":
         header.append("density_rc1")
         columns.append(mixes["RC1"].density(grid))
-    rows = list(zip(*columns))
-    _emit(args, _csv_text(header, rows))
+    _emit(args, _csv_text(header, zip(*columns)))
     return 0
 
 
@@ -250,12 +250,8 @@ def cmd_joint(args) -> int:
     if config.scheme not in JOINT_SCHEMES:
         raise ConfigError("joint distribution requires two pointers (RM or RC2)")
     table = enumerate_branches(config, config.cycles)
-    model = table.model
     points, weights = point_weights(table, config.scheme, "joint")
-    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
-    mix = mixture_from_points(
-        points, weights, config.scheme, "joint", config.cycles, model.sigma, *eps
-    )
+    mix = mixture_from_points(points, weights, config.scheme, "joint", config.cycles, config)
     order = np.lexsort((mix.centers[:, 1], mix.centers[:, 0]))
     rows = [
         {"work": mix.centers[i, 0], "heat": mix.centers[i, 1], "weight": mix.weights[i]}

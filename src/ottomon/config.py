@@ -2,13 +2,12 @@
 
 The file format is INI-style with three sections (engine, stroke, thermo).
 Keys are unique across sections so each one doubles as a command-line flag of
-the same name; parse -> serialize -> parse is idempotent.
+the same name.
 """
 from __future__ import annotations
 
 import cmath
 import configparser
-import io
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -107,19 +106,6 @@ def parse_config_text(text: str) -> dict[str, Any]:
 def parse_config_file(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config_text(handle.read())
-
-
-def serialize_values(values: dict[str, Any]) -> str:
-    """Render typed values back to INI text."""
-    parser = configparser.ConfigParser()
-    for section in _SECTIONS:
-        parser.add_section(section)
-    for key, spec in KEY_SPECS.items():
-        value = values.get(key, spec.default)
-        parser.set(spec.section, key, repr(value) if isinstance(value, complex) else str(value))
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
 
 
 def apply_overrides(

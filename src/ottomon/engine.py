@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qubit import (
-    StrokeHamiltonian,
     WorkStrokeParams,
     build_forward_unitary,
     build_reverse_unitary,
@@ -147,20 +146,18 @@ class EngineConfig:
 
 @dataclass
 class EngineModel:
-    """Numeric objects resolved from an :class:`EngineConfig`."""
+    """Numeric objects derived from an :class:`EngineConfig`.
+
+    It holds derived objects only: the half-gaps, the pointer width and every
+    other engine value are read from ``config``, their one home.
+    """
 
     config: EngineConfig
-    h_cold: StrokeHamiltonian
-    h_hot: StrokeHamiltonian
     stroke_params: WorkStrokeParams
     forward_unitary: np.ndarray
     reverse_unitary: np.ndarray
     cold_channel: PerfectMap | LindbladMap
     hot_channel: PerfectMap | LindbladMap
-
-    @property
-    def sigma(self) -> float:
-        return self.config.sigma
 
 
 def resolve_stroke_params(config: EngineConfig) -> WorkStrokeParams:
@@ -170,37 +167,35 @@ def resolve_stroke_params(config: EngineConfig) -> WorkStrokeParams:
 
 
 def perfect_targets(
-    thermo: PerfectThermo, h_cold: StrokeHamiltonian, h_hot: StrokeHamiltonian
+    thermo: PerfectThermo, eps_c: float, eps_h: float
 ) -> tuple[ThermalState, ThermalState]:
     if thermo.targets == "custom":
         return thermo.custom_cold, thermo.custom_hot
     if thermo.targets == "gibbs":
         return (
-            ThermalState(d=gibbs_population(thermo.beta_c, h_cold.epsilon)),
-            ThermalState(d=gibbs_population(thermo.beta_h, h_hot.epsilon)),
+            ThermalState(d=gibbs_population(thermo.beta_c, eps_c)),
+            ThermalState(d=gibbs_population(thermo.beta_h, eps_h)),
         )
     cold_bath = BathSpec(thermo.beta_c, thermo.gamma, thermo.omega_d, "cold")
     hot_bath = BathSpec(thermo.beta_h, thermo.gamma, thermo.omega_d, "hot")
-    return generalized_gibbs(cold_bath, h_cold), generalized_gibbs(hot_bath, h_hot)
+    return generalized_gibbs(cold_bath, eps_c), generalized_gibbs(hot_bath, eps_h)
 
 
 def build_model(config: EngineConfig) -> EngineModel:
     """Resolve stroke parameters, unitaries and thermal channels."""
-    h_cold = StrokeHamiltonian(config.eps_c)
-    h_hot = StrokeHamiltonian(config.eps_h)
     params = resolve_stroke_params(config)
     if isinstance(config.thermo, PerfectThermo):
-        target_cold, target_hot = perfect_targets(config.thermo, h_cold, h_hot)
+        target_cold, target_hot = perfect_targets(config.thermo, config.eps_c, config.eps_h)
         cold_channel = PerfectMap(target_cold)
         hot_channel = PerfectMap(target_hot)
     else:
         t = config.thermo
-        cold_channel = LindbladMap(BathSpec(t.beta_c, t.gamma, label="cold"), h_cold, t.theta)
-        hot_channel = LindbladMap(BathSpec(t.beta_h, t.gamma, label="hot"), h_hot, t.theta)
+        cold_bath = BathSpec(t.beta_c, t.gamma, label="cold")
+        hot_bath = BathSpec(t.beta_h, t.gamma, label="hot")
+        cold_channel = LindbladMap(cold_bath, config.eps_c, t.theta)
+        hot_channel = LindbladMap(hot_bath, config.eps_h, t.theta)
     return EngineModel(
         config=config,
-        h_cold=h_cold,
-        h_hot=h_hot,
         stroke_params=params,
         forward_unitary=build_forward_unitary(params),
         reverse_unitary=build_reverse_unitary(params),
@@ -283,8 +278,9 @@ def cycle_contacts(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "RM":
-        w_cold = contact_suppression(model.h_cold.epsilon, model.sigma)
-        w_hot = contact_suppression(model.h_hot.epsilon, model.sigma)
+        config = model.config
+        w_cold = contact_suppression(config.eps_c, config.sigma)
+        w_hot = contact_suppression(config.eps_h, config.sigma)
     else:
         w_cold = w_hot = 1.0
     return (
@@ -322,8 +318,9 @@ def cycle_increments(model: EngineModel) -> tuple[np.ndarray, np.ndarray]:
     first two axes of :func:`tilted_cycle_coefficients`.
     """
     steps = np.arange(-MAX_SHIFT, MAX_SHIFT + 1)
-    work = steps[:, None] * model.h_cold.epsilon + steps[None, :] * model.h_hot.epsilon
-    heat = np.broadcast_to(-steps[None, :] * model.h_hot.epsilon, work.shape)
+    eps_c, eps_h = model.config.eps_c, model.config.eps_h
+    work = steps[:, None] * eps_c + steps[None, :] * eps_h
+    heat = np.broadcast_to(-steps[None, :] * eps_h, work.shape)
     return work, heat
 
 

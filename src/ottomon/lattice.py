@@ -64,8 +64,9 @@ def _points_advanced(cycles: int, observable: str) -> int:
 # Largest lattice run admitted, counted in advanced points: that of a
 # 457-cycle work lattice, which bounds the run time of heat lattices too.
 LATTICE_POINT_BUDGET = _points_advanced(457, "work")
-# Largest `pdf` density grid: about 350 bytes a point at the peak (the grid,
-# the density columns, the rows and the CSV text), so 2^20 points need 350 MB.
+# Largest `pdf` density grid: about 170 bytes a point at the peak (the grid,
+# the density columns and the CSV text; tracemalloc, heat at 2^20 points), so
+# 2^20 points need about 170 MB.
 DENSITY_POINT_BUDGET = 2**20
 
 
@@ -202,18 +203,18 @@ def mixture_from_points(
     scheme: str,
     observable: str,
     cycles: int,
-    sigma: float,
-    eps_c: float,
-    eps_h: float,
+    config: EngineConfig,
 ) -> GaussianMixture1D | GaussianMixture2D:
     """Gaussian mixture over integer lattice points and their weights.
 
     Work and joint points are rows (a, b), with work a*eps_c + b*eps_h and
     heat -b*eps_h; heat points are heat records k, with heat k*eps_h.  The
     components share the scheme's pointer variance (covariance for the
-    joint) after the given number of cycles.
+    joint) after the given number of cycles; the half-gaps and the pointer
+    width are those of ``config``.
     """
-    covariance = pointer_covariance(scheme, cycles, sigma)
+    eps_c, eps_h = config.eps_c, config.eps_h
+    covariance = pointer_covariance(scheme, cycles, config.sigma)
     if observable == "heat":
         return GaussianMixture1D(points * eps_h, weights, covariance[1, 1])
     a, b = points[:, 0], points[:, 1]
@@ -237,10 +238,7 @@ def _lattice_mixture(
     """Mixture of one readout of the points of a work or heat lattice run."""
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
     points, weights = lattice_points(model, scheme, lattice, cycles, initial)
-    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
-    return mixture_from_points(
-        points, weights, scheme, observable, cycles, model.sigma, *eps
-    )
+    return mixture_from_points(points, weights, scheme, observable, cycles, model.config)
 
 
 def marginal_via_lattice(

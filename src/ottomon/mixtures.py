@@ -12,19 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CENTER_DECIMALS = 9
 _CHUNK_ELEMENTS = 2**22
-
-
-def collapse_duplicates(
-    values: np.ndarray, weights: np.ndarray, decimals: int = _CENTER_DECIMALS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge components whose centers coincide after rounding."""
-    keys = np.round(np.asarray(values, dtype=float), decimals)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    merged = np.zeros(uniq.shape[0], dtype=float)
-    np.add.at(merged, inverse, np.asarray(weights, dtype=float))
-    return uniq, merged
 
 
 def prune_components(
@@ -127,11 +115,6 @@ class GaussianMixture2D:
             ).sum(axis=0)
         return norm * out
 
-    def density_grid(self, w: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Evaluate on the outer grid of w and q, returned as (len(w), len(q))."""
-        ww, qq = np.meshgrid(w, q, indexing="ij")
-        return self.density(ww.ravel(), qq.ravel()).reshape(ww.shape)
-
     def moments(self) -> tuple[float, float, float, float, float]:
         """Return (<W>, <Q>, <W^2>, <Q^2>, <WQ>) of the mixture."""
         a = self.centers[:, 0]
@@ -155,10 +138,3 @@ class GaussianMixture2D:
         uv = np.stack([u, v], axis=1)
         quad = np.einsum("pi,ij,pj->p", uv, self.covariance, uv)
         return phases * np.exp(-0.5 * quad)
-
-    def marginal(self, axis: int) -> GaussianMixture1D:
-        """Integrate out one coordinate; axis 0 keeps work, 1 keeps heat."""
-        if axis not in (0, 1):
-            raise ValueError("axis must be 0 or 1")
-        values, weights = collapse_duplicates(self.centers[:, axis], self.weights)
-        return GaussianMixture1D(values, weights, float(self.covariance[axis, axis]))

@@ -235,7 +235,7 @@ def moment_series(
     for column, observable in enumerate(OBSERVABLES):
         stack[:4, column] = vec(prepare_initial_state(model, scheme, observable, rho))
     joint = scheme in JOINT_SCHEMES
-    sigma = model.sigma
+    sigma = model.config.sigma
     out = []
     for n in range(1, n_max + 1):
         stack = step @ stack

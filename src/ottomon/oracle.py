@@ -164,9 +164,7 @@ def _suppressions(
     state: _BranchArrays, model: EngineModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-branch RM, RC-work and RC-heat suppression factors."""
-    eps_c = model.h_cold.epsilon
-    eps_h = model.h_hot.epsilon
-    sigma = model.sigma
+    eps_c, eps_h, sigma = model.config.eps_c, model.config.eps_h, model.config.sigma
     if sigma == 0.0:
         supp_rm = ((state.n_cold + state.n_hot) == 0).astype(float)
     else:

@@ -1,4 +1,4 @@
-"""Two-level working substance: states, stroke Hamiltonians, stroke unitaries.
+"""Two-level working substance: states, stroke parameters, stroke unitaries.
 
 All matrices are written in the instantaneous energy-label basis
 (|ground>, |excited>) of the relevant stroke Hamiltonian; the change of frame
@@ -35,17 +35,6 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     if eigenvalues.min() < -POSITIVITY_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
-
-
-@dataclass(frozen=True)
-class StrokeHamiltonian:
-    """Half-gap ``epsilon`` Hamiltonian diag(-epsilon, +epsilon)."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)

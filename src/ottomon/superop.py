@@ -36,16 +36,6 @@ def conjugation(unitary: np.ndarray) -> np.ndarray:
     return sandwich(unitary, unitary)
 
 
-def dephasing(factor: float) -> np.ndarray:
-    """Superoperator damping the coherence sector by ``factor``.
-
-    Equals the outcome sum of a projective energy readout recorded by a
-    Gaussian pointer: populations pass unchanged, off-diagonal elements are
-    multiplied by the pointer overlap factor.
-    """
-    return np.diag([1.0, factor, factor, 1.0]).astype(complex)
-
-
 def trace_of_vec(vector: np.ndarray) -> complex:
     return vector[..., 0] + vector[..., 3]
 

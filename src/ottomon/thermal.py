@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .qubit import StrokeHamiltonian, gibbs_population, validate_density_matrix
+from .qubit import gibbs_population, validate_density_matrix
 from .superop import POPULATION_IDX, TRACE_VEC, vec
 
 DECOUPLING_TOL = 1e-12
@@ -94,7 +94,8 @@ class PerfectMap:
 class LindbladMap:
     """Exact finite-time solution of the damped qubit master equation.
 
-    In the energy basis of ``h`` the populations relax toward the Gibbs
+    In the energy basis of the half-gap ``epsilon`` Hamiltonian
+    diag(-epsilon, +epsilon) the populations relax toward the Gibbs
     population p at the bath temperature with rate factor
     D = exp(-2*gamma*theta), and the coherences decay as exp(-gamma*theta)
     while rotating with the phase factor exp(-2i*theta) on the excited-ground
@@ -114,13 +115,12 @@ class LindbladMap:
     out of a unit ground and excited input, and c = exp(-(gamma + 2i) theta).
     """
 
-    def __init__(self, bath: BathSpec, h: StrokeHamiltonian, theta: float):
+    def __init__(self, bath: BathSpec, epsilon: float, theta: float):
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         if theta < 0:
             raise ValueError("theta must be non-negative")
-        self.bath = bath
-        self.h = h
-        self.theta = theta
-        p = gibbs_population(bath.beta, h.epsilon)
+        p = gibbs_population(bath.beta, epsilon)
         decay = np.exp(-2.0 * bath.gamma * theta)
         coherence = np.exp(-(bath.gamma + 2.0j) * theta)
         # Scaled unit rows: each zero of a coherence row keeps the sign of
@@ -186,8 +186,8 @@ def bath_correlation_imaginary_time(lam: np.ndarray, bath: BathSpec) -> np.ndarr
     return (np.exp(-lam * omega) + np.exp((lam - beta) * omega)) @ weights / (2.0 * np.pi)
 
 
-def generalized_gibbs(bath: BathSpec, h: StrokeHamiltonian) -> ThermalState:
-    """Second-order finite-coupling equilibrium state of the qubit.
+def generalized_gibbs(bath: BathSpec, eps: float) -> ThermalState:
+    """Second-order finite-coupling equilibrium state of the qubit at half-gap eps.
 
     Returns the population and coherence of the reduced equilibrium state for
     a coupling operator with unit diagonal and off-diagonal components.  The
@@ -227,8 +227,9 @@ def generalized_gibbs(bath: BathSpec, h: StrokeHamiltonian) -> ThermalState:
     and (360, 0.025, 0.2, 1), the state agrees with 20-digit mpmath
     quadrature of P and Q within 6e-17 in d and 3e-16 relative in q.
     """
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
     beta = bath.beta
-    eps = h.epsilon
     d_bare = gibbs_population(beta, eps)
     if bath.gamma == 0.0:
         return ThermalState(d=d_bare, q=0.0)

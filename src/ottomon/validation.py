@@ -242,13 +242,10 @@ def _analytic_legs(routes: _Routes) -> list[CheckResult]:
         tolerance = 1e-10
         detail = "single cycle started from the cold target"
     table = enumerate_branches(model, 1, initial=initial)
-    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
     results = []
     for label, scheme in READOUTS:
         points, weights = point_weights(table, scheme, "joint")
-        mix = mixture_from_points(
-            points, weights, scheme, "joint", 1, model.sigma, *eps
-        )
+        mix = mixture_from_points(points, weights, scheme, "joint", 1, model.config)
         results.append(
             _compare(
                 f"analytic_moments_{label.lower()}",
@@ -290,7 +287,7 @@ def _marginal_legs(routes: _Routes) -> list[CheckResult]:
     """
     model = routes.model
     results = []
-    densities = model.sigma > 0.0
+    densities = model.config.sigma > 0.0
     if not densities:
         results.append(
             CheckResult(
@@ -300,7 +297,6 @@ def _marginal_legs(routes: _Routes) -> list[CheckResult]:
             )
         )
     n = min(routes.cycles, DENSITY_CYCLE_CAP)
-    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
     for scheme in SCHEMES:
         for observable in OBSERVABLES:
             tag = f"{scheme.lower()}_{observable}_n{n}"
@@ -316,7 +312,7 @@ def _marginal_legs(routes: _Routes) -> list[CheckResult]:
                 continue
             mix = mixture_from_points(
                 *routes.lattice(scheme, observable, n),
-                scheme, observable, n, model.sigma, *eps,
+                scheme, observable, n, model.config,
             )
             if densities:
                 integral, parts = 0.0, []

@@ -53,9 +53,22 @@ def enumerated_weights(engine, scheme, observable, cycles, initial=None) -> dict
 def enumerated_mixture(engine, scheme, observable, cycles, initial=None):
     """Mixture of one readout (work, heat or joint) of the enumeration."""
     table = enumerate_branches(engine, cycles, initial)
-    model = table.model
     points, weights = point_weights(table, scheme, observable)
-    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
-    return mixture_from_points(
-        points, weights, scheme, observable, cycles, model.sigma, *eps
-    )
+    return mixture_from_points(points, weights, scheme, observable, cycles, table.model.config)
+
+
+def merge_equal_centers(
+    centers: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted 1-D centers equal to 9 decimals, each with its summed weight."""
+    keys = np.round(np.asarray(centers, dtype=float), 9)
+    merged_centers, inverse = np.unique(keys, return_inverse=True)
+    merged_weights = np.zeros(merged_centers.shape[0])
+    np.add.at(merged_weights, inverse, np.asarray(weights, dtype=float))
+    return merged_centers, merged_weights
+
+
+def joint_density_on_grid(mix, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A joint mixture's density on the outer grid of w and q, as (len(w), len(q))."""
+    ww, qq = np.meshgrid(w, q, indexing="ij")
+    return mix.density(ww.ravel(), qq.ravel()).reshape(ww.shape)

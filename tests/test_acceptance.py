@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import enumerated_mixture, random_density_matrices
+from conftest import enumerated_mixture, joint_density_on_grid, random_density_matrices
 from ottomon.asymptotics import (
     asymptotic_work_heat,
     build_cycle_superoperator,
@@ -46,7 +46,6 @@ from ottomon.moments import (
     work_per_cycle_series,
 )
 from ottomon.oracle import enumerate_branches, point_weights
-from ottomon.qubit import StrokeHamiltonian
 from ottomon.superop import conjugation, unvec, vec
 from ottomon.thermal import BathSpec, generalized_gibbs
 from ottomon.validation import compare_weight_tables
@@ -80,11 +79,11 @@ def test_criterion_01_finite_coupling_equilibrium_state():
     start = time.perf_counter()
     cold = generalized_gibbs(
         BathSpec(beta=0.25, gamma=0.5, omega_d=0.2, label="cold"),
-        StrokeHamiltonian(1.0),
+        1.0,
     )
     hot = generalized_gibbs(
         BathSpec(beta=0.025, gamma=0.5, omega_d=0.2, label="hot"),
-        StrokeHamiltonian(3.7),
+        3.7,
     )
     assert cold.d == pytest.approx(0.37759, abs=1e-4)
     assert hot.d == pytest.approx(0.45388, abs=1e-4)
@@ -217,7 +216,7 @@ def test_criterion_06_characteristic_function_envelope(default_config):
     q_grid = np.linspace(
         mix.centers[:, 1].min() - pad_q, mix.centers[:, 1].max() + pad_q, 2048
     )
-    density = mix.density_grid(w_grid, q_grid)
+    density = joint_density_on_grid(mix, w_grid, q_grid)
     rng = np.random.default_rng(20260815)
     points = rng.uniform(-0.5, 0.5, size=(20, 2))
     for u, v in points:

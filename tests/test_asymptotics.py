@@ -29,7 +29,7 @@ from ottomon import (
 from ottomon.engine import build_model, contact_suppression
 from ottomon.moments import closed_form_moments
 from ottomon.qubit import gibbs_population, landau_zener_params
-from ottomon.superop import TRACE_VEC, conjugation, dephasing, unvec, vec
+from ottomon.superop import TRACE_VEC, conjugation, unvec, vec
 from ottomon.thermal import BathSpec, generalized_gibbs
 
 # Values frozen from this implementation at the default parameter point and
@@ -182,7 +182,7 @@ def _contact_energy_bookkeeping(config: EngineConfig, scheme: str) -> tuple[floa
     level = []
     for overlap, stroke in strokes:
         level.append((rho[3] - rho[0]).real)
-        rho = stroke @ dephasing(overlap) @ rho
+        rho = stroke @ np.diag([1, overlap, overlap, 1]) @ rho
     work = config.eps_c * (level[3] - level[0]) + config.eps_h * (level[1] - level[2])
     heat = config.eps_h * (level[2] - level[1])
     return work, heat
@@ -317,7 +317,7 @@ def test_initial_state_kinds(default_config) -> None:
     )
     wide_cutoff = EngineConfig(thermo=thermo, init="generalized_gibbs_cold")
     expected = generalized_gibbs(
-        BathSpec(0.25, 0.025, 2.0, "cold"), build_model(wide_cutoff).h_cold
+        BathSpec(0.25, 0.025, 2.0, "cold"), wide_cutoff.eps_c
     )
     assert_allclose(initial_state(wide_cutoff), expected.matrix, atol=0)
     custom = initial_state(

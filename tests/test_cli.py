@@ -1,6 +1,7 @@
 """End-to-end tests that drive the command-line interface in process."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -203,6 +204,24 @@ def test_pdf_refuses_points_over_the_budget_before_any_allocation(capsys, monkey
     assert code == 2
     assert out == ""
     assert err.startswith("error: --points 1,048,577 is over the budget of 1,048,576")
+
+
+def test_pdf_streams_its_rows_into_the_csv_text():
+    # The CSV text is written from the density columns directly, with no list
+    # of per-row tuples beside it: under 300 bytes a grid point at the peak.
+    points = 2**14
+    argv = ["pdf", "--observable", "heat", "--cycles", "5", "--points", str(points)]
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(out.getvalue().splitlines()) == points + 1
+    assert peak / points < 300
 
 
 @pytest.mark.parametrize("observable, evaluations", [("work", 2), ("heat", 3)])

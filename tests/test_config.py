@@ -10,7 +10,6 @@ from ottomon.config import (
     default_values,
     load_engine_config,
     parse_config_text,
-    serialize_values,
     to_engine_config,
 )
 from ottomon.engine import (
@@ -43,31 +42,6 @@ def test_keys_are_unique_across_sections():
     assert len(KEY_SPECS) == len(set(KEY_SPECS))
     for key, spec in KEY_SPECS.items():
         assert spec.section in ("engine", "stroke", "thermo"), key
-
-
-@pytest.mark.parametrize(
-    "changes",
-    [
-        {},
-        {"stroke": "landau_zener", "t1": 2.5, "init": "generalized_gibbs_cold"},
-        {
-            "thermo": "perfect",
-            "targets": "custom",
-            "target_d_c": 0.37,
-            "target_q_c": 1e-3 + 2e-3j,
-            "target_d_h": 0.45,
-            "target_q_h": -4.5e-6j,
-        },
-        {"init": "custom", "init_d": 0.27, "init_q": 0.01 + 0j, "scheme": "RC2"},
-    ],
-)
-def test_serialize_parse_round_trip(changes):
-    values = default_values()
-    values.update(changes)
-    text = serialize_values(values)
-    assert parse_config_text(text) == values
-    # A second pass through the same pipeline is a fixed point.
-    assert serialize_values(parse_config_text(text)) == text
 
 
 def test_parse_overrides_only_listed_keys():

@@ -1,6 +1,8 @@
 """Model construction and the tilted single-cycle map."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from ottomon import (
 from ottomon.asymptotics import asymptotic_work_heat, invariant_state
 from ottomon.engine import (
     MAX_SHIFT,
+    EngineModel,
     build_model,
     contact_suppression,
     cycle_increments,
@@ -28,9 +31,9 @@ from ottomon.engine import (
 from ottomon.lattice import mixture_from_points
 from ottomon.moments import moment_series
 from ottomon.oracle import tabulate_cycle_branches
-from ottomon.qubit import StrokeHamiltonian, landau_zener_params
+from ottomon.qubit import landau_zener_params
 from ottomon.superop import conjugation
-from ottomon.thermal import ThermalState
+from ottomon.thermal import BathSpec, LindbladMap, ThermalState
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +53,10 @@ def rm_weight(model, branch) -> float:
     return float(
         np.exp(
             -(
-                branch.mismatch_cold * model.h_cold.epsilon**2
-                + branch.mismatch_hot * model.h_hot.epsilon**2
+                branch.mismatch_cold * model.config.eps_c**2
+                + branch.mismatch_hot * model.config.eps_h**2
             )
-            / (2.0 * model.sigma**2)
+            / (2.0 * model.config.sigma**2)
         )
     )
 
@@ -155,7 +158,7 @@ def test_kernel_matches_grouped_branch_enumeration(engine) -> None:
     # weighted by the powers 1, x, q, x^2, q^2 and x q of the branch increments.
     model = build_model(CROSS_ROUTE_ENGINES[engine])
     branches = tabulate_cycle_branches(model)
-    eps_c, eps_h = model.h_cold.epsilon, model.h_hot.epsilon
+    eps_c, eps_h = model.config.eps_c, model.config.eps_h
     for scheme in ("RM", "RC1", "RC2"):
         expected = np.zeros((6, 4, 4), dtype=complex)
         for branch in branches:
@@ -229,16 +232,12 @@ def test_resolve_stroke_params_direct_and_sweep() -> None:
 
 
 def test_perfect_targets_routing() -> None:
-    h_cold = StrokeHamiltonian(1.0)
-    h_hot = StrokeHamiltonian(3.7)
-    gibbs_cold, gibbs_hot = perfect_targets(
-        PerfectThermo(beta_c=0.25, beta_h=0.025), h_cold, h_hot
-    )
+    gibbs_cold, gibbs_hot = perfect_targets(PerfectThermo(beta_c=0.25, beta_h=0.025), 1.0, 3.7)
     assert gibbs_cold.q == 0.0 and gibbs_hot.q == 0.0
     gen_cold, gen_hot = perfect_targets(
         PerfectThermo(beta_c=0.25, beta_h=0.025, gamma=0.5, targets="generalized_gibbs"),
-        h_cold,
-        h_hot,
+        1.0,
+        3.7,
     )
     assert gen_cold.q > 0.0 > gen_hot.q
     custom = ThermalState(d=0.42, q=0.003)
@@ -250,18 +249,34 @@ def test_perfect_targets_routing() -> None:
             custom_cold=custom,
             custom_hot=custom,
         ),
-        h_cold,
-        h_hot,
+        1.0,
+        3.7,
     )
     assert got_cold is custom and got_hot is custom
 
 
 def test_lindblad_model_channels_use_their_own_half_gaps(default_config) -> None:
     model = build_model(default_config)
-    assert model.cold_channel.h.epsilon == 1.0
-    assert model.hot_channel.h.epsilon == 3.7
-    assert model.cold_channel.bath.beta == 0.25
-    assert model.hot_channel.bath.beta == 0.025
+    cold_bath = BathSpec(0.25, 0.025, label="cold")
+    hot_bath = BathSpec(0.025, 0.025, label="hot")
+    cold = LindbladMap(cold_bath, 1.0, 8.0).superoperator()
+    hot = LindbladMap(hot_bath, 3.7, 8.0).superoperator()
+    assert_allclose(model.cold_channel.superoperator(), cold, rtol=0, atol=0)
+    assert_allclose(model.hot_channel.superoperator(), hot, rtol=0, atol=0)
+    # The half-gaps are not interchangeable: swapped, both matrices change.
+    assert not np.array_equal(LindbladMap(cold_bath, 3.7, 8.0).superoperator(), cold)
+    assert not np.array_equal(LindbladMap(hot_bath, 1.0, 8.0).superoperator(), hot)
+
+
+def test_engine_model_holds_only_what_build_model_derives() -> None:
+    assert [field.name for field in dataclasses.fields(EngineModel)] == [
+        "config",
+        "stroke_params",
+        "forward_unitary",
+        "reverse_unitary",
+        "cold_channel",
+        "hot_channel",
+    ]
 
 
 def test_engine_config_validation() -> None:
@@ -290,10 +305,9 @@ def test_cycle_increments_match_the_mixture_centers_of_the_lattice_steps(model) 
     a, b = np.meshgrid(steps, steps, indexing="ij")
     points = np.stack([a.ravel(), b.ravel()], axis=1)
     weights = np.full(len(points), 1.0 / len(points))
-    eps = (model.h_cold.epsilon, model.h_hot.epsilon)
     work, heat = cycle_increments(model)
     assert work.shape == heat.shape == (5, 5)
-    work_mix = mixture_from_points(points, weights, "RM", "work", 1, 0.2, *eps)
-    joint_mix = mixture_from_points(points, weights, "RM", "joint", 1, 0.2, *eps)
+    work_mix = mixture_from_points(points, weights, "RM", "work", 1, EngineConfig())
+    joint_mix = mixture_from_points(points, weights, "RM", "joint", 1, EngineConfig())
     assert_allclose(work.ravel(), work_mix.centers, atol=0.0)
     assert_allclose(heat.ravel(), joint_mix.centers[:, 1], atol=0.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import enumerated_mixture
+from conftest import enumerated_mixture, merge_equal_centers
 from ottomon import EngineConfig, LandauZenerStroke, PerfectThermo
 from ottomon.asymptotics import prepare_initial_state
 from ottomon.engine import (
@@ -23,14 +23,13 @@ from ottomon.lattice import (
     lattice_points,
     marginal_via_lattice,
 )
-from ottomon.mixtures import collapse_duplicates
 from ottomon.moments import work_per_cycle_series
 from ottomon.superop import conjugation, trace_of_vec, vec
 
 
 def _assert_same_mixture(lhs, rhs, atol: float = 1e-12) -> None:
-    lc, lw = collapse_duplicates(lhs.centers, lhs.weights)
-    rc, rw = collapse_duplicates(rhs.centers, rhs.weights)
+    lc, lw = merge_equal_centers(lhs.centers, lhs.weights)
+    rc, rw = merge_equal_centers(rhs.centers, rhs.weights)
     keep_l = np.abs(lw) > 1e-15
     keep_r = np.abs(rw) > 1e-15
     assert_allclose(lc[keep_l], rc[keep_r], atol=1e-12)

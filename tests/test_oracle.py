@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import enumerated_mixture, enumerated_weights
+from conftest import enumerated_mixture, enumerated_weights, merge_equal_centers
 from ottomon import EngineConfig
 from ottomon.lattice import mixture_from_points
-from ottomon.mixtures import collapse_duplicates
+from ottomon.mixtures import GaussianMixture1D
 from ottomon.oracle import ORACLE_CYCLE_LIMIT, enumerate_branches, point_weights
 
 
@@ -44,9 +44,7 @@ def test_branch_fields_are_consistent(default_config) -> None:
     eps_c, eps_h = default_config.eps_c, default_config.eps_h
     table = enumerate_branches(default_config, 2)
     points, weights = point_weights(table, "RC2", "joint")
-    mix = mixture_from_points(
-        points, weights, "RC2", "joint", 2, default_config.sigma, eps_c, eps_h
-    )
+    mix = mixture_from_points(points, weights, "RC2", "joint", 2, default_config)
     for (a, b), (work, heat) in zip(points, mix.centers):
         assert work == pytest.approx(a * eps_c + b * eps_h, abs=1e-12)
         assert heat == pytest.approx(-b * eps_h, abs=1e-12)
@@ -73,10 +71,12 @@ def test_joint_marginalizes_onto_the_marginal_mixtures(default_config, cycles) -
     for scheme in ("RM", "RC2"):
         joint = enumerated_mixture(default_config, scheme, "joint", cycles)
         for axis, observable in ((0, "work"), (1, "heat")):
-            projected = joint.marginal(axis)
+            projected = GaussianMixture1D(
+                joint.centers[:, axis], joint.weights, joint.covariance[axis, axis]
+            )
             direct = enumerated_mixture(default_config, scheme, observable, cycles)
-            pc, pw = collapse_duplicates(projected.centers, projected.weights)
-            dc, dw = collapse_duplicates(direct.centers, direct.weights)
+            pc, pw = merge_equal_centers(projected.centers, projected.weights)
+            dc, dw = merge_equal_centers(direct.centers, direct.weights)
             assert_allclose(pc, dc, atol=1e-12)
             assert_allclose(pw, dw, atol=1e-12)
             assert projected.variance == pytest.approx(direct.variance, abs=1e-14)
@@ -141,7 +141,7 @@ def test_weighting_refuses_a_one_pointer_joint_and_unknown_observables(
         point_weights(table, "RM", "entropy")
     points, weights = point_weights(table, "RM", "work")
     with pytest.raises(ValueError, match="observable"):
-        mixture_from_points(points, weights, "RM", "entropy", 1, 0.2, 1.0, 3.7)
+        mixture_from_points(points, weights, "RM", "entropy", 1, EngineConfig())
 
 
 def test_initial_state_override_shifts_the_distribution(default_config) -> None:

@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ottomon.qubit import (
-    StrokeHamiltonian,
     WorkStrokeParams,
     build_forward_unitary,
     build_reverse_unitary,
@@ -135,12 +134,6 @@ def test_gibbs_population_values_and_limits() -> None:
         assert gibbs_population(1.0, 1e4) == 0.0
         assert gibbs_population(700.0, 1.0) == 0.0
         assert gibbs_population(-700.0, 1.0) == 1.0
-
-
-def test_stroke_hamiltonian_energies_and_validation() -> None:
-    assert StrokeHamiltonian(2.5).epsilon == 2.5
-    with pytest.raises(ValueError):
-        StrokeHamiltonian(-1.0)
 
 
 def test_projector_levels() -> None:

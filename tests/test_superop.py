@@ -9,7 +9,6 @@ from conftest import random_density_matrices
 from ottomon.superop import (
     TRACE_VEC,
     conjugation,
-    dephasing,
     hermitize,
     sandwich,
     sector_coupling,
@@ -53,15 +52,6 @@ def test_conjugation_preserves_trace_and_state(rng: np.random.Generator) -> None
     assert_allclose(unvec(sop @ vec(rho)), u @ rho @ u.conj().T, atol=1e-14)
 
 
-def test_dephasing_damps_only_coherences() -> None:
-    x = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
-    out = unvec(dephasing(0.25) @ vec(x))
-    assert out[0, 0] == pytest.approx(0.7)
-    assert out[1, 1] == pytest.approx(0.3)
-    assert out[0, 1] == pytest.approx(0.25 * (0.2 + 0.1j))
-    assert out[1, 0] == pytest.approx(0.25 * (0.2 - 0.1j))
-
-
 def test_hermitize_projects_onto_hermitian_part(rng: np.random.Generator) -> None:
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     h = hermitize(x)
@@ -70,7 +60,7 @@ def test_hermitize_projects_onto_hermitian_part(rng: np.random.Generator) -> Non
 
 
 def test_sector_coupling_detects_population_coherence_mixing() -> None:
-    assert sector_coupling(dephasing(0.5)) == 0.0
+    assert sector_coupling(np.diag([1, 0.5, 0.5, 1])) == 0.0
     diag_channel = np.diag([1.0, 0.3 + 0.2j, 0.3 - 0.2j, 1.0])
     assert sector_coupling(diag_channel) == 0.0
     angle = 0.4

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_density_matrices
 from ottomon import thermal
-from ottomon.qubit import StrokeHamiltonian, gibbs_population
+from ottomon.qubit import gibbs_population
 from ottomon.superop import (
     COHERENCE_IDX,
     POPULATION_IDX,
@@ -66,9 +66,8 @@ def _liouvillian(gamma: float, equilibrium: float) -> np.ndarray:
 def test_lindblad_channel_matches_integrated_master_equation(
     theta: float, beta: float, gamma: float
 ) -> None:
-    h = StrokeHamiltonian(1.0)
     bath = BathSpec(beta=beta, gamma=gamma, label="cold")
-    channel = LindbladMap(bath, h, theta)
+    channel = LindbladMap(bath, 1.0, theta)
     liou = _liouvillian(gamma, gibbs_population(beta, 1.0))
     # The Liouvillian is constant, so the master equation integrates to its
     # exponential, taken here at 30 digits.
@@ -82,26 +81,38 @@ def test_lindblad_channel_scales_phase_with_half_gap(rng: np.random.Generator) -
     # theta is dimensionless, so the same theta must give the same channel
     # regardless of the half-gap entering through the Hamiltonian.
     rho = random_density_matrices(rng, 1)[0]
-    a = LindbladMap(BathSpec(beta=0.5, gamma=0.1, label="cold"), StrokeHamiltonian(1.0), 2.0)
-    b = LindbladMap(BathSpec(beta=0.5 / 3.7, gamma=0.1, label="cold"), StrokeHamiltonian(3.7), 2.0)
+    a = LindbladMap(BathSpec(beta=0.5, gamma=0.1, label="cold"), 1.0, 2.0)
+    b = LindbladMap(BathSpec(beta=0.5 / 3.7, gamma=0.1, label="cold"), 3.7, 2.0)
     assert_allclose(_apply(a, rho), _apply(b, rho), atol=1e-14)
 
 
 def test_lindblad_limits_identity_and_gibbs(rng: np.random.Generator) -> None:
-    h = StrokeHamiltonian(1.0)
     bath = BathSpec(beta=0.25, gamma=0.025, label="cold")
     rho = random_density_matrices(rng, 1)[0]
-    frozen = LindbladMap(BathSpec(beta=0.25, gamma=0.0, label="cold"), h, 0.0)
+    frozen = LindbladMap(BathSpec(beta=0.25, gamma=0.0, label="cold"), 1.0, 0.0)
     assert_allclose(_apply(frozen, rho), rho, atol=0.0)
-    relaxed = _apply(LindbladMap(bath, h, 1e5), rho)
+    relaxed = _apply(LindbladMap(bath, 1.0, 1e5), rho)
     gibbs = ThermalState(d=gibbs_population(0.25, 1.0)).matrix
     assert_allclose(relaxed, gibbs, atol=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0])
+def test_lindblad_map_refuses_a_non_positive_half_gap(epsilon: float) -> None:
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        LindbladMap(BathSpec(beta=0.25, gamma=0.025, label="cold"), epsilon, 8.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0])
+def test_generalized_gibbs_refuses_a_non_positive_half_gap(epsilon: float) -> None:
+    # Also at zero coupling, where the state would be the bare Gibbs one.
+    for gamma in (0.0, 0.5):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            generalized_gibbs(BathSpec(beta=0.25, gamma=gamma, label="cold"), epsilon)
+
+
 def test_channels_preserve_trace_and_positivity(rng: np.random.Generator) -> None:
-    h = StrokeHamiltonian(1.0)
     channels = [
-        LindbladMap(BathSpec(beta=0.25, gamma=0.025, label="cold"), h, 8.0),
+        LindbladMap(BathSpec(beta=0.25, gamma=0.025, label="cold"), 1.0, 8.0),
         PerfectMap(ThermalState(d=0.3, q=0.01 + 0.02j)),
     ]
     for channel in channels:
@@ -131,7 +142,7 @@ def test_perfect_map_is_rank_one_projection() -> None:
 @pytest.mark.parametrize(
     "channel",
     [
-        LindbladMap(BathSpec(beta=0.25, gamma=0.025), StrokeHamiltonian(1.0), 8.0),
+        LindbladMap(BathSpec(beta=0.25, gamma=0.025), 1.0, 8.0),
         PerfectMap(ThermalState(d=0.3, q=0.01 + 0.02j)),
     ],
     ids=["lindblad", "perfect"],
@@ -146,8 +157,7 @@ def test_channel_matrix_is_built_once_and_read_only(channel) -> None:
 
 
 def test_sector_coupling_flags_only_sector_mixing_channels() -> None:
-    h = StrokeHamiltonian(1.0)
-    lind = LindbladMap(BathSpec(beta=0.25, gamma=0.025, label="cold"), h, 8.0)
+    lind = LindbladMap(BathSpec(beta=0.25, gamma=0.025, label="cold"), 1.0, 8.0)
     assert sector_coupling(lind.superoperator()) < 1e-15
     assert sector_coupling(PerfectMap(ThermalState(d=0.4)).superoperator()) < 1e-15
     # A projection onto a coherent target turns populations into coherences,
@@ -162,8 +172,8 @@ def test_sector_coupling_flags_only_sector_mixing_channels() -> None:
 
 
 def test_generalized_gibbs_frozen_reference_values() -> None:
-    cold = generalized_gibbs(COLD_BATH, StrokeHamiltonian(1.0))
-    hot = generalized_gibbs(HOT_BATH, StrokeHamiltonian(3.7))
+    cold = generalized_gibbs(COLD_BATH, 1.0)
+    hot = generalized_gibbs(HOT_BATH, 3.7)
     assert cold.d == pytest.approx(0.37759, abs=1e-4)
     assert hot.d == pytest.approx(0.45388, abs=1e-4)
     assert cold.q == pytest.approx(5.0813e-5, rel=1e-2)
@@ -220,7 +230,7 @@ def test_generalized_gibbs_matches_high_precision_values(bath) -> None:
     d_ref, q_ref = (float(value) for value in GENERALIZED_GIBBS_REFERENCE[bath])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = generalized_gibbs(BathSpec(beta, gamma, omega_d, "cold"), StrokeHamiltonian(eps))
+        state = generalized_gibbs(BathSpec(beta, gamma, omega_d, "cold"), eps)
     assert state.d == pytest.approx(d_ref, rel=0.0, abs=1e-13)
     assert state.q == pytest.approx(q_ref, rel=1e-12, abs=0.0)
 
@@ -231,7 +241,7 @@ def test_generalized_gibbs_holds_its_bound_against_a_refined_rule(monkeypatch) -
     rng = np.random.default_rng(27)
     draws = np.exp(rng.uniform(np.log([1e-4, 1e-4, 1e-3]), np.log([1e4, 1e3, 1e4]), (40, 3)))
     baths = [
-        (BathSpec(beta, 1e-6, omega_d), StrokeHamiltonian(eps)) for beta, omega_d, eps in draws
+        (BathSpec(beta, 1e-6, omega_d), eps) for beta, omega_d, eps in draws
     ]
     states = [generalized_gibbs(*bath) for bath in baths]
     with monkeypatch.context() as patch:
@@ -242,26 +252,24 @@ def test_generalized_gibbs_holds_its_bound_against_a_refined_rule(monkeypatch) -
         thermal._quadrature_rules.cache_clear()
         refined = [generalized_gibbs(*bath) for bath in baths]
     thermal._quadrature_rules.cache_clear()
-    for (bath, h), state, fine in zip(baths, states, refined):
-        correction = abs(fine.d - gibbs_population(bath.beta, h.epsilon))
-        assert abs(state.d - fine.d) <= 1e-12 * correction + 2e-16, (bath, h)
-        assert state.q == pytest.approx(fine.q, rel=1e-12, abs=0.0), (bath, h)
+    for (bath, eps), state, fine in zip(baths, states, refined):
+        correction = abs(fine.d - gibbs_population(bath.beta, eps))
+        assert abs(state.d - fine.d) <= 1e-12 * correction + 2e-16, (bath, eps)
+        assert state.q == pytest.approx(fine.q, rel=1e-12, abs=0.0), (bath, eps)
 
 
 def test_generalized_gibbs_zero_coupling_is_bare_gibbs() -> None:
-    h = StrokeHamiltonian(1.0)
-    state = generalized_gibbs(BathSpec(beta=0.25, gamma=0.0, label="cold"), h)
+    state = generalized_gibbs(BathSpec(beta=0.25, gamma=0.0, label="cold"), 1.0)
     assert state.d == pytest.approx(gibbs_population(0.25, 1.0), abs=0.0)
     assert state.q == 0.0
 
 
 def test_generalized_gibbs_corrections_are_linear_in_coupling() -> None:
-    h = StrokeHamiltonian(1.0)
     bare = gibbs_population(0.25, 1.0)
     shifts = []
     coherences = []
     for gamma in (1e-3, 0.25, 0.5):
-        state = generalized_gibbs(BathSpec(beta=0.25, gamma=gamma, label="cold"), h)
+        state = generalized_gibbs(BathSpec(beta=0.25, gamma=gamma, label="cold"), 1.0)
         shifts.append((state.d - bare) / gamma)
         coherences.append(state.q / gamma)
     assert_allclose(shifts, shifts[0], rtol=1e-7)
@@ -269,9 +277,8 @@ def test_generalized_gibbs_corrections_are_linear_in_coupling() -> None:
 
 
 def test_generalized_gibbs_orientation_follows_bath_label() -> None:
-    h = StrokeHamiltonian(1.0)
-    cold = generalized_gibbs(BathSpec(beta=0.25, gamma=0.5, label="cold"), h)
-    hot = generalized_gibbs(BathSpec(beta=0.25, gamma=0.5, label="hot"), h)
+    cold = generalized_gibbs(BathSpec(beta=0.25, gamma=0.5, label="cold"), 1.0)
+    hot = generalized_gibbs(BathSpec(beta=0.25, gamma=0.5, label="hot"), 1.0)
     assert cold.q > 0.0 > hot.q
     assert cold.q == pytest.approx(-hot.q, rel=1e-12)
     assert cold.d == pytest.approx(hot.d, rel=1e-12)
