@@ -242,13 +242,13 @@ def cmd_pdf(args) -> int:
 
 def cmd_joint(args) -> int:
     config = _load_config(args)
+    if config.scheme not in JOINT_SCHEMES:
+        raise ConfigError("joint distribution requires two pointers (RM or RC2)")
     if config.cycles > JOINT_CYCLE_LIMIT:
         raise ConfigError(
             "the joint command enumerates branch pairs exhaustively; "
             f"use at most {JOINT_CYCLE_LIMIT} cycles (got {config.cycles})"
         )
-    if config.scheme not in JOINT_SCHEMES:
-        raise ConfigError("joint distribution requires two pointers (RM or RC2)")
     table = enumerate_branches(config, config.cycles)
     points, weights = point_weights(table, config.scheme, "joint")
     mix = mixture_from_points(points, weights, config.scheme, "joint", config.cycles, config)

@@ -10,147 +10,80 @@ full branch chain, which is what the initial-state fold of
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import initial_state
 from .engine import EngineConfig, EngineModel, build_model
 from .qubit import projector
-from .superop import sandwich, vec
+from .superop import vec
 
 ORACLE_CYCLE_LIMIT = 3
 _EXPANSION_CHUNK = 2**16
 
 
-@dataclass(frozen=True)
-class CycleBranch:
-    """One of the 256 per-cycle contact-outcome branch operators.
+def tabulate_cycle_branches(model: EngineModel) -> tuple[np.ndarray, np.ndarray]:
+    """All 256 single-cycle branch superoperators and their integer counters.
 
-    Work centers shift by ``da * eps_c + db * eps_h`` per cycle and heat
-    centers by ``-db * eps_h``; ``mismatch_cold``/``mismatch_hot`` count the
-    contacts where the two sides of the branch picked different energy levels.
+    Branch (m1..m4, n1..n4), in ``itertools.product`` order, picks level m of
+    each of the four contacts on the left of the density matrix and level n
+    on the right.  Its operator is Cold S2 Hot S1, where each work stroke
+    sandwiches P[m'] U P[m] on the left and P[n'] U P[n] on the right, so
+    every contact is expanded independently of the tilted cycle map the
+    other routes are built from.  The (6, 256) int32 counters are, per
+    branch: the work shifts da and db (work moves by da * eps_c + db * eps_h
+    per cycle, heat by -db * eps_h), their left-minus-right differences
+    da_diff and db_diff, and the number of cold and of hot contacts whose
+    two sides picked different levels.
     """
+    proj = np.stack([projector(0), projector(1)])
 
-    superoperator: np.ndarray = field(repr=False)
-    da: int
-    db: int
-    da_diff: int
-    db_diff: int
-    mismatch_cold: int
-    mismatch_hot: int
+    def sandwiches(unitary: np.ndarray) -> np.ndarray:
+        # piece[m, m'] = P[m'] U P[m]; S[m, n] = kron(conj(piece[n]), piece[m]).
+        piece = np.einsum("bij,jk,akl->abil", proj, unitary, proj).reshape(4, 2, 2)
+        outer = np.einsum("nij,mkl->mnikjl", piece.conj(), piece)
+        return outer.reshape(4, 4, 4, 4)
 
-    @property
-    def dq(self) -> int:
-        return -self.db
-
-
-def tabulate_cycle_branches(model: EngineModel) -> list[CycleBranch]:
-    """Build all 256 single-cycle branch superoperators.
-
-    Expands every contact on both sides of the density matrix, independently
-    of the tilted cycle map the other routes are built from.
-    """
-    proj = (projector(0), projector(1))
-    sign = (-1, 1)
-    u = model.forward_unitary
-    ur = model.reverse_unitary
-    hot_sop = model.hot_channel.superoperator()
-    cold_sop = model.cold_channel.superoperator()
-    branches = []
-    for m1, m2, m3, m4 in itertools.product(range(2), repeat=4):
-        left_first = proj[m2] @ u @ proj[m1]
-        left_second = proj[m4] @ ur @ proj[m3]
-        for n1, n2, n3, n4 in itertools.product(range(2), repeat=4):
-            right_first = proj[n2] @ u @ proj[n1]
-            right_second = proj[n4] @ ur @ proj[n3]
-            sop = cold_sop @ sandwich(left_second, right_second) @ hot_sop @ sandwich(
-                left_first, right_first
-            )
-            h1 = (sign[m1] + sign[n1]) // 2
-            h2 = (sign[m2] + sign[n2]) // 2
-            h3 = (sign[m3] + sign[n3]) // 2
-            h4 = (sign[m4] + sign[n4]) // 2
-            g1 = (sign[m1] - sign[n1]) // 2
-            g2 = (sign[m2] - sign[n2]) // 2
-            g3 = (sign[m3] - sign[n3]) // 2
-            g4 = (sign[m4] - sign[n4]) // 2
-            branches.append(
-                CycleBranch(
-                    superoperator=sop,
-                    da=h4 - h1,
-                    db=h2 - h3,
-                    da_diff=g4 - g1,
-                    db_diff=g2 - g3,
-                    mismatch_cold=int(m1 != n1) + int(m4 != n4),
-                    mismatch_hot=int(m2 != n2) + int(m3 != n3),
-                )
-            )
-    return branches
-
-
-@dataclass
-class _BranchArrays:
-    ops: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    a_diff: np.ndarray
-    b_diff: np.ndarray
-    n_cold: np.ndarray
-    n_hot: np.ndarray
+    first = sandwiches(model.forward_unitary)
+    second = sandwiches(model.reverse_unitary)
+    cold = model.cold_channel.superoperator()
+    hot = model.hot_channel.superoperator()
+    tail = (cold @ second) @ hot
+    ops = tail[None, :, None, :] @ first[:, None, :, None]
+    levels = (np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1
+    m, n = levels[:, :4], levels[:, 4:]
+    total, diff, mismatch = m + n, m - n, (m != n).astype(int)
+    counters = np.stack([
+        total[:, 3] - total[:, 0],
+        total[:, 1] - total[:, 2],
+        diff[:, 3] - diff[:, 0],
+        diff[:, 1] - diff[:, 2],
+        mismatch[:, 0] + mismatch[:, 3],
+        mismatch[:, 1] + mismatch[:, 2],
+    ]).astype(np.int32)
+    return ops.reshape(256, 4, 4), counters
 
 
 def _enumerate_arrays(
     model: EngineModel, cycles: int, rho: np.ndarray
-) -> _BranchArrays:
-    branches = tabulate_cycle_branches(model)
-    sops = np.stack([br.superoperator for br in branches])
-    da = np.array([br.da for br in branches], dtype=np.int32)
-    db = np.array([br.db for br in branches], dtype=np.int32)
-    ga = np.array([br.da_diff for br in branches], dtype=np.int32)
-    gb = np.array([br.db_diff for br in branches], dtype=np.int32)
-    nc = np.array([br.mismatch_cold for br in branches], dtype=np.int32)
-    nh = np.array([br.mismatch_hot for br in branches], dtype=np.int32)
-
-    state = _BranchArrays(
-        ops=vec(rho)[None, :],
-        a=np.zeros(1, dtype=np.int32),
-        b=np.zeros(1, dtype=np.int32),
-        a_diff=np.zeros(1, dtype=np.int32),
-        b_diff=np.zeros(1, dtype=np.int32),
-        n_cold=np.zeros(1, dtype=np.int32),
-        n_hot=np.zeros(1, dtype=np.int32),
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized operator and summed counters of every live branch pair."""
+    sops, shifts = tabulate_cycle_branches(model)
+    ops = vec(rho)[None, :]
+    counters = np.zeros((shifts.shape[0], 1), dtype=np.int32)
     for _ in range(cycles):
-        k = state.ops.shape[0]
+        k = ops.shape[0]
         new_ops = np.empty((k, sops.shape[0], 4), dtype=complex)
         for start in range(0, k, _EXPANSION_CHUNK):
             stop = min(start + _EXPANSION_CHUNK, k)
-            new_ops[start:stop] = np.einsum(
-                "gij,kj->kgi", sops, state.ops[start:stop]
-            )
-        state = _BranchArrays(
-            ops=new_ops.reshape(-1, 4),
-            a=(state.a[:, None] + da[None, :]).ravel(),
-            b=(state.b[:, None] + db[None, :]).ravel(),
-            a_diff=(state.a_diff[:, None] + ga[None, :]).ravel(),
-            b_diff=(state.b_diff[:, None] + gb[None, :]).ravel(),
-            n_cold=(state.n_cold[:, None] + nc[None, :]).ravel(),
-            n_hot=(state.n_hot[:, None] + nh[None, :]).ravel(),
-        )
-        live = np.abs(state.ops).max(axis=1) > 1e-250
+            new_ops[start:stop] = np.einsum("gij,kj->kgi", sops, ops[start:stop])
+        ops = new_ops.reshape(-1, 4)
+        counters = (counters[:, :, None] + shifts[:, None, :]).reshape(len(shifts), -1)
+        live = np.abs(ops).max(axis=1) > 1e-250
         if not live.all():
-            state = _BranchArrays(
-                ops=state.ops[live],
-                a=state.a[live],
-                b=state.b[live],
-                a_diff=state.a_diff[live],
-                b_diff=state.b_diff[live],
-                n_cold=state.n_cold[live],
-                n_hot=state.n_hot[live],
-            )
-    return state
+            ops, counters = ops[live], counters[:, live]
+    return ops, counters
 
 
 def _gaussian_overlap(delta: np.ndarray, sigma: float) -> np.ndarray:
@@ -161,18 +94,17 @@ def _gaussian_overlap(delta: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _suppressions(
-    state: _BranchArrays, model: EngineModel
+    counters: np.ndarray, model: EngineModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-branch RM, RC-work and RC-heat suppression factors."""
     eps_c, eps_h, sigma = model.config.eps_c, model.config.eps_h, model.config.sigma
+    _, _, a_diff, b_diff, n_cold, n_hot = counters
     if sigma == 0.0:
-        supp_rm = ((state.n_cold + state.n_hot) == 0).astype(float)
+        supp_rm = ((n_cold + n_hot) == 0).astype(float)
     else:
-        supp_rm = np.exp(
-            -(state.n_cold * eps_c**2 + state.n_hot * eps_h**2) / (2.0 * sigma**2)
-        )
-    delta_w = 2.0 * (state.a_diff * eps_c + state.b_diff * eps_h)
-    delta_q = -2.0 * state.b_diff * eps_h
+        supp_rm = np.exp(-(n_cold * eps_c**2 + n_hot * eps_h**2) / (2.0 * sigma**2))
+    delta_w = 2.0 * (a_diff * eps_c + b_diff * eps_h)
+    delta_q = -2.0 * b_diff * eps_h
     return supp_rm, _gaussian_overlap(delta_w, sigma), _gaussian_overlap(delta_q, sigma)
 
 
@@ -206,9 +138,9 @@ def enumerate_branches(
             f"enumeration supports 1..{ORACLE_CYCLE_LIMIT} cycles, got {cycles}"
         )
     model = engine if isinstance(engine, EngineModel) else build_model(engine)
-    state = _enumerate_arrays(model, cycles, initial_state(model, initial=initial))
-    values = state.ops[:, 0] + state.ops[:, 3]
-    return BranchTable(model, state.a, state.b, values, *_suppressions(state, model))
+    ops, counters = _enumerate_arrays(model, cycles, initial_state(model, initial=initial))
+    values = ops[:, 0] + ops[:, 3]
+    return BranchTable(model, counters[0], counters[1], values, *_suppressions(counters, model))
 
 
 def point_weights(
@@ -248,8 +180,13 @@ def point_weights(
     if observable == "heat":
         points, inverse = np.unique(-table.b, return_inverse=True)
     else:
-        keys = np.stack([table.a, table.b], axis=1)
-        points, inverse = np.unique(keys, axis=0, return_inverse=True)
+        # One int64 key per point, ordered as the rows (a, b) sort.
+        a, b = table.a.astype(np.int64), table.b.astype(np.int64)
+        a_min, b_min = a.min(), b.min()
+        span = b.max() - b_min + 1
+        keys, inverse = np.unique((a - a_min) * span + (b - b_min), return_inverse=True)
+        points = np.stack([keys // span + a_min, keys % span + b_min], axis=1)
+        points = points.astype(table.a.dtype)
     merged = np.zeros(points.shape[0], dtype=complex)
     np.add.at(merged, inverse, weights)
     return points, merged.real

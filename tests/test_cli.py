@@ -272,6 +272,15 @@ def test_joint_rejects_unsupported_requests(capsys):
     assert "two pointers" in err
 
 
+def test_joint_refuses_a_one_pointer_scheme_before_the_cycle_cap(capsys):
+    # At the file default of five cycles both checks fail; the scheme is the
+    # refusal that no cycle count can lift, so it is the one reported.
+    code, _, err = run_cli(capsys, "joint", "--scheme", "RC1")
+    assert code == 2
+    assert "two pointers" in err
+    assert "at most" not in err
+
+
 def test_joint_json_payload(capsys):
     code, out, _ = run_cli(
         capsys, "joint", "--cycles", "1", "--scheme", "RC2", "--format", "json"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from ottomon.engine import (
 from ottomon.lattice import mixture_from_points
 from ottomon.moments import moment_series
 from ottomon.oracle import tabulate_cycle_branches
-from ottomon.qubit import landau_zener_params
-from ottomon.superop import conjugation
+from ottomon.qubit import landau_zener_params, projector
+from ottomon.superop import conjugation, sandwich
 from ottomon.thermal import BathSpec, LindbladMap, ThermalState
 
 
@@ -46,29 +47,29 @@ def branches(model):
     return tabulate_cycle_branches(model)
 
 
-def rm_weight(model, branch) -> float:
-    """Per-cycle pointer overlap of a branch under per-stroke readout."""
-    if branch.mismatch_cold == 0 and branch.mismatch_hot == 0:
-        return 1.0
-    return float(
-        np.exp(
-            -(
-                branch.mismatch_cold * model.config.eps_c**2
-                + branch.mismatch_hot * model.config.eps_h**2
-            )
-            / (2.0 * model.config.sigma**2)
-        )
+def rm_weight(model, counters) -> np.ndarray:
+    """Per-cycle pointer overlap of each branch under per-stroke readout."""
+    n_cold, n_hot = counters[4], counters[5]
+    return np.exp(
+        -(n_cold * model.config.eps_c**2 + n_hot * model.config.eps_h**2)
+        / (2.0 * model.config.sigma**2)
     )
 
 
 def grouped_branches(model, branches, scheme, observable) -> dict:
     """Weighted branch superoperators summed by their lattice increment."""
+    ops, counters = branches
+    weights = rm_weight(model, counters) if scheme == "RM" else np.ones(len(ops))
+    da, db = counters[0], counters[1]
     groups: dict = {}
-    for branch in branches:
-        weight = rm_weight(model, branch) if scheme == "RM" else 1.0
-        key = (branch.da, branch.db) if observable == "work" else branch.dq
-        groups[key] = groups.get(key, 0.0) + weight * branch.superoperator
+    for k in range(len(ops)):
+        key = (int(da[k]), int(db[k])) if observable == "work" else int(-db[k])
+        groups[key] = groups.get(key, 0.0) + weights[k] * ops[k]
     return groups
+
+
+def weighted_sum(weights, ops) -> np.ndarray:
+    return np.einsum("g,gij->ij", weights, ops)
 
 
 def coefficient_groups(model, scheme, observable) -> dict:
@@ -85,16 +86,17 @@ def coefficient_groups(model, scheme, observable) -> dict:
 
 
 def test_tabulation_yields_256_branches(branches) -> None:
-    assert len(branches) == 256
-    for branch in branches:
-        assert branch.superoperator.shape == (4, 4)
-        assert branch.dq == -branch.db
+    ops, counters = branches
+    assert ops.shape == (256, 4, 4)
+    assert counters.shape == (6, 256) and counters.dtype == np.int32
+    dq = -counters[1]
+    assert dq.min() == -2 and dq.max() == 2
 
 
 def test_unweighted_branch_sum_is_the_unmonitored_cycle_map(model, branches) -> None:
     # Summing over every contact outcome on both sides removes the readout,
     # leaving the plain four-stroke composition.
-    total = sum(branch.superoperator for branch in branches)
+    total = branches[0].sum(axis=0)
     unmonitored = (
         model.cold_channel.superoperator()
         @ conjugation(model.reverse_unitary)
@@ -107,11 +109,12 @@ def test_unweighted_branch_sum_is_the_unmonitored_cycle_map(model, branches) -> 
 def test_weighted_branch_sums_reproduce_cycle_superoperators(
     default_config, model, branches
 ) -> None:
-    rm_total = sum(rm_weight(model, b) * b.superoperator for b in branches)
+    ops, counters = branches
+    rm_total = weighted_sum(rm_weight(model, counters), ops)
     assert_allclose(
         rm_total, build_cycle_superoperator(default_config, "RM"), atol=1e-13
     )
-    rc_total = sum(b.superoperator for b in branches)
+    rc_total = ops.sum(axis=0)
     assert_allclose(
         rc_total, build_cycle_superoperator(default_config, "RC2"), atol=1e-13
     )
@@ -121,10 +124,11 @@ def test_weighted_branch_sums_reproduce_cycle_superoperators(
 def test_group_sums_recover_the_weighted_total(model, branches, scheme) -> None:
     work = coefficient_groups(model, scheme, "work")
     heat = coefficient_groups(model, scheme, "heat")
+    ops, counters = branches
     if scheme == "RM":
-        expected = sum(rm_weight(model, b) * b.superoperator for b in branches)
+        expected = weighted_sum(rm_weight(model, counters), ops)
     else:
-        expected = sum(b.superoperator for b in branches)
+        expected = ops.sum(axis=0)
     assert_allclose(sum(work.values()), expected, atol=1e-13)
     assert_allclose(sum(heat.values()), expected, atol=1e-13)
     for da, db in work:
@@ -150,6 +154,50 @@ CROSS_ROUTE_ENGINES = {
 }
 
 
+def looped_cycle_branches(model) -> tuple[np.ndarray, np.ndarray]:
+    """The 256 branches one at a time: each contact projected on each side,
+    the strokes sandwiched and composed as Cold S2 Hot S1."""
+    proj = (projector(0), projector(1))
+    sign = (-1, 1)
+    hot_sop = model.hot_channel.superoperator()
+    cold_sop = model.cold_channel.superoperator()
+    ops, counters = [], []
+    for m1, m2, m3, m4 in itertools.product(range(2), repeat=4):
+        left_first = proj[m2] @ model.forward_unitary @ proj[m1]
+        left_second = proj[m4] @ model.reverse_unitary @ proj[m3]
+        for n1, n2, n3, n4 in itertools.product(range(2), repeat=4):
+            right_first = proj[n2] @ model.forward_unitary @ proj[n1]
+            right_second = proj[n4] @ model.reverse_unitary @ proj[n3]
+            ops.append(
+                cold_sop @ sandwich(left_second, right_second) @ hot_sop
+                @ sandwich(left_first, right_first)
+            )
+            h = [(sign[m] + sign[n]) // 2 for m, n in zip((m1, m2, m3, m4), (n1, n2, n3, n4))]
+            g = [(sign[m] - sign[n]) // 2 for m, n in zip((m1, m2, m3, m4), (n1, n2, n3, n4))]
+            counters.append((
+                h[3] - h[0], h[1] - h[2], g[3] - g[0], g[1] - g[2],
+                int(m1 != n1) + int(m4 != n4), int(m2 != n2) + int(m3 != n3),
+            ))
+    return np.array(ops), np.array(counters).T
+
+
+TABLE_ENGINES = {
+    **CROSS_ROUTE_ENGINES,
+    "landau_zener_narrow": EngineConfig(stroke=LandauZenerStroke(t1=3.0), sigma=0.7),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(TABLE_ENGINES))
+def test_broadcast_table_matches_the_branch_loop(engine) -> None:
+    model = build_model(TABLE_ENGINES[engine])
+    ops, counters = tabulate_cycle_branches(model)
+    expected_ops, expected_counters = looped_cycle_branches(model)
+    assert ops.shape == expected_ops.shape
+    assert_allclose(ops, expected_ops, rtol=0, atol=1e-15)
+    assert counters.dtype == np.int32
+    assert np.array_equal(counters, expected_counters)
+
+
 @pytest.mark.parametrize("engine", sorted(CROSS_ROUTE_ENGINES))
 def test_kernel_matches_grouped_branch_enumeration(engine) -> None:
     # The tilted-map coefficients against the 256 enumerated branches, each
@@ -158,14 +206,13 @@ def test_kernel_matches_grouped_branch_enumeration(engine) -> None:
     # weighted by the powers 1, x, q, x^2, q^2 and x q of the branch increments.
     model = build_model(CROSS_ROUTE_ENGINES[engine])
     branches = tabulate_cycle_branches(model)
+    ops, counters = branches
     eps_c, eps_h = model.config.eps_c, model.config.eps_h
+    x, q = counters[0] * eps_c + counters[1] * eps_h, -counters[1] * eps_h
+    powers = np.stack([np.ones_like(x), x, q, x * x, q * q, x * q])
     for scheme in ("RM", "RC1", "RC2"):
-        expected = np.zeros((6, 4, 4), dtype=complex)
-        for branch in branches:
-            weight = rm_weight(model, branch) if scheme == "RM" else 1.0
-            x, q = branch.da * eps_c + branch.db * eps_h, branch.dq * eps_h
-            powers = np.array([1.0, x, q, x * x, q * q, x * q])
-            expected += weight * powers[:, None, None] * branch.superoperator
+        weights = rm_weight(model, counters) if scheme == "RM" else np.ones(len(ops))
+        expected = np.einsum("g,pg,gij->pij", weights, powers, ops)
         sums = tilted_sums(model, scheme)
         assert sums.shape == (6, 4, 4)
         for k, name in enumerate(("1", "x", "q", "x^2", "q^2", "x q")):

@@ -144,6 +144,47 @@ def test_weighting_refuses_a_one_pointer_joint_and_unknown_observables(
         mixture_from_points(points, weights, "RM", "entropy", 1, EngineConfig())
 
 
+def rowwise_point_weights(table, scheme, observable):
+    """point_weights with the work points merged as rows by np.unique(axis=0)."""
+    factors = {
+        "RM": (table.suppression_rm,),
+        "RC1": (
+            table.suppression_rc_work
+            if observable == "work"
+            else table.suppression_rc_heat,
+        ),
+        "RC2": (table.suppression_rc_work, table.suppression_rc_heat),
+    }[scheme]
+    weights = table.values
+    for factor in factors:
+        weights = weights * factor
+    if observable == "heat":
+        points, inverse = np.unique(-table.b, return_inverse=True)
+    else:
+        keys = np.stack([table.a, table.b], axis=1)
+        points, inverse = np.unique(keys, axis=0, return_inverse=True)
+    merged = np.zeros(points.shape[0], dtype=complex)
+    np.add.at(merged, inverse, weights)
+    return points, merged.real
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 3])
+def test_scalar_merge_key_matches_the_row_merge(default_config, cycles) -> None:
+    table = enumerate_branches(default_config, cycles)
+    for scheme in ("RM", "RC1", "RC2"):
+        for observable in ("work", "heat", "joint"):
+            if scheme == "RC1" and observable == "joint":
+                continue
+            points, weights = point_weights(table, scheme, observable)
+            expected_points, expected_weights = rowwise_point_weights(
+                table, scheme, observable
+            )
+            label = f"{scheme} {observable}"
+            assert points.dtype == expected_points.dtype, label
+            assert np.array_equal(points, expected_points), label
+            assert np.array_equal(weights, expected_weights), label
+
+
 def test_initial_state_override_shifts_the_distribution(default_config) -> None:
     ground = np.diag([1.0, 0.0]).astype(complex)
     excited = np.diag([0.0, 1.0]).astype(complex)
